@@ -34,8 +34,9 @@ func serverKey(t testing.TB) *rsa.PrivateKey {
 
 // runServer boots one httpd variant for one connection with attacker hooks
 // installed, drives one legitimate client request, and returns the kernel
-// (whose network the attacker pre-instrumented via prep).
-func runServer(t *testing.T, variant string, hooks httpd.Hooks, prep func(k *kernel.Kernel) *Recording) *Recording {
+// (whose network the attacker pre-instrumented via prep). afterHandshake,
+// when set, runs between the client's handshake and its request.
+func runServer(t *testing.T, variant string, hooks httpd.Hooks, prep func(k *kernel.Kernel) *Recording, afterHandshake func()) *Recording {
 	t.Helper()
 	k := kernel.New()
 	priv := serverKey(t)
@@ -92,6 +93,11 @@ func runServer(t *testing.T, variant string, hooks httpd.Hooks, prep func(k *ker
 	if err != nil {
 		t.Fatalf("legitimate client handshake: %v", err)
 	}
+	if afterHandshake != nil {
+		// The worker now waits for the request with the session keys set
+		// up: an exploit sampling here sees the handshake's full state.
+		afterHandshake()
+	}
 	if _, err := cc.Write([]byte("GET /index.html")); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +119,7 @@ func TestEavesdropAloneIsUseless(t *testing.T) {
 		t.Run(variant, func(t *testing.T) {
 			rec := runServer(t, variant, httpd.Hooks{}, func(k *kernel.Kernel) *Recording {
 				return Eavesdrop(k.Net, "apache:443")
-			})
+			}, nil)
 			// The attacker guesses a zero master: decryption must fail.
 			keys, err := rec.KeysFromLeakedMaster([minissl.MasterLen]byte{})
 			if err != nil {
@@ -161,7 +167,7 @@ func TestNoEncryptionOracleInMITMGates(t *testing.T) {
 	}}
 	runServer(t, "mitm", hooks, func(k *kernel.Kernel) *Recording {
 		return Eavesdrop(k.Net, "apache:443")
-	})
+	}, nil)
 	if v := <-verdicts; v != 0 {
 		t.Fatalf("oracle probe returned %d; the gate must answer only failure", v)
 	}

@@ -1,11 +1,11 @@
 //go:build !race
 
-// The two exfiltration tests below model the paper's §5.1.2 attacker: a
-// goroutine inside the exploited compartment that concurrently scans
-// shared simulated memory while the victim's callgate is writing it.
-// That unsynchronised scan is the attack — at the Go level it is a true
-// data race on the simulated frames, and the race detector correctly
-// flags it. The tests are therefore excluded under -race: the property
+// The exfiltration tests below model the paper's §5.1.2 attacker: code
+// inside the exploited compartment reading shared simulated memory the
+// victim's callgate writes. The MITM test's probe scans while the gate
+// is writing; that unsynchronised scan is the attack — at the Go level it
+// is a true data race on the simulated frames, and the race detector
+// correctly flags it. The tests are therefore excluded under -race: the property
 // they check (which partitionings leak key material to such an attacker)
 // is exercised in normal test runs.
 
@@ -21,6 +21,7 @@ import (
 	"wedge/internal/kernel"
 	"wedge/internal/minissl"
 	"wedge/internal/sthread"
+	"wedge/internal/vm"
 )
 
 // TestSimplePartitionLeaksSessionKeyToMITM reproduces the §5.1.2 attack
@@ -29,36 +30,34 @@ import (
 // the session master secret. Combining the two recovers the legitimate
 // client's cleartext.
 func TestSimplePartitionLeaksSessionKeyToMITM(t *testing.T) {
-	leak := make(chan [minissl.MasterLen]byte, 1)
+	type exploit struct {
+		s   *sthread.Sthread
+		arg vm.Addr
+	}
+	// The exploited worker hands the attacker its compartment handle; the
+	// attacker reads the shared argument buffer once the gate has put the
+	// master secret there and the worker is blocked on the request.
+	worker := make(chan exploit, 1)
 	hooks := httpd.Hooks{Worker: func(s *sthread.Sthread, c *httpd.ConnContext) {
-		// The exploited worker waits for the gate to deposit the master
-		// secret in the shared argument buffer, then exfiltrates it. We
-		// model exfiltration by reading it post-handshake: the hook runs
-		// pre-handshake, so spawn a goroutine that samples after the
-		// worker finishes its protocol (the worker's memory remains
-		// readable until the sthread exits; sampling via the same
-		// compartment handle).
-		go func() {
-			var master [minissl.MasterLen]byte
-			buf := make([]byte, minissl.MasterLen)
-			for i := 0; i < 20000; i++ {
-				if err := s.TryRead(c.ArgAddr+112, buf); err != nil {
-					return
-				}
-				copy(master[:], buf)
-				var zero [minissl.MasterLen]byte
-				if master != zero {
-					leak <- master
-					return
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-		}()
+		worker <- exploit{s, c.ArgAddr}
 	}}
+	var master [minissl.MasterLen]byte
 	rec := runServer(t, "simple", hooks, func(k *kernel.Kernel) *Recording {
 		return Passive(k.Net, "apache:443")
+	}, func() {
+		var w exploit
+		select {
+		case w = <-worker:
+		default:
+			t.Fatal("the worker hook never ran before the handshake finished")
+		}
+		if err := w.s.TryRead(w.arg+112, master[:]); err != nil {
+			t.Fatalf("exploited worker cannot read its argument buffer: %v", err)
+		}
+		if master == ([minissl.MasterLen]byte{}) {
+			t.Fatal("no master secret in the worker's argument buffer after the handshake")
+		}
 	})
-	master := <-leak
 	keys, err := rec.KeysFromLeakedMaster(master)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +103,7 @@ func TestMITMPartitionDeniesSessionKey(t *testing.T) {
 	}}
 	rec := runServer(t, "mitm", hooks, func(k *kernel.Kernel) *Recording {
 		return Passive(k.Net, "apache:443")
-	})
+	}, nil)
 	if err := <-probeErr; err == nil {
 		t.Fatal("handshake sthread read the session region")
 	}

@@ -175,9 +175,8 @@ func NewPooled(root *sthread.Sthread, key *rsa.PrivateKey, zone []Record, cfg Co
 		Import:      importDNS,
 		Gates: []gatepool.GateDef{
 			{
-				Name:  "worker",
-				Entry: r.workerEntry,
-				// Explicit batched body: drain the slot ring one flow per
+				Name: "worker",
+				// The worker body: drain the slot ring one flow per
 				// entry, sharing a single datagram buffer across the
 				// whole sweep instead of allocating one per flow.
 				Batch: func(w *sthread.Sthread, b *sthread.Batch, _ vm.Addr) {
@@ -220,7 +219,7 @@ const dnsExportVersion = 1
 // the FRAG reassembly position. The zone blob — records and the signing
 // key — never rides a record: it lives behind the resolve gate's tag at
 // every runtime, and the new home's gate signs with its own copy.
-func exportDNS(c *serve.Conn[dnsConn], _ []byte) []byte {
+func exportDNS(c *serve.Conn[dnsConn]) []byte {
 	st := &c.State
 	var flags byte
 	if st.fragging {
@@ -263,17 +262,12 @@ func importDNS(c *serve.Conn[dnsConn], rec *serve.HandoffRecord) error {
 	return nil
 }
 
-// workerEntry is the per-slot recycled query parser: one invocation per
-// flow, reading whole query datagrams from the flow descriptor until
-// the wheel expires the flow (the read fails — a clean end). Malformed
-// input is answered with FORMERR without ever invoking the resolve
-// gate: the signing key is unreachable from the parse path.
-func (r *Resolver) workerEntry(w *sthread.Sthread, arg, _ vm.Addr) vm.Addr {
-	return r.workerServe(w, arg, make([]byte, maxDatagram))
-}
-
-// workerServe is one flow against caller-owned datagram scratch; the
-// batched body shares one buffer across every entry in a sweep.
+// workerServe is the per-slot query parser serving one flow: it reads
+// whole query datagrams from the flow descriptor until the wheel expires
+// the flow (the read fails — a clean end). Malformed input is answered
+// with FORMERR without ever invoking the resolve gate: the signing key is
+// unreachable from the parse path. The datagram scratch is caller-owned;
+// the worker body shares one buffer across every entry in a sweep.
 func (r *Resolver) workerServe(w *sthread.Sthread, arg vm.Addr, buf []byte) vm.Addr {
 	c := r.Lookup(w, arg)
 	if c == nil {

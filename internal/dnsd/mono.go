@@ -55,7 +55,7 @@ func (m *Monolithic) ServePackets(pc *netsim.PacketConn) error {
 	}
 }
 
-// handle maps one datagram to its reply, mirroring workerEntry's
+// handle maps one datagram to its reply, mirroring workerServe's
 // semantics: FRAG halves park per source address, malformed input is
 // FORMERR, everything else resolves against the zone.
 func (m *Monolithic) handle(pkt []byte, from string) []byte {

@@ -1,9 +1,9 @@
 // Schema identity and cross-build compatibility. A sealed schema's layout
 // is a wire contract twice over: gate caller and gate body agree on it
-// within one build, and — since the cluster's session handoff serializes
-// per-principal state as a schema-laid-out block image — two *runtimes*
-// must agree on it before state may cross between them. Both agreements
-// hang off the same primitive: a stable hash of the placed layout.
+// within one build, and two *runtimes* must agree on it before the
+// cluster's session handoff may move a session between them. Both
+// agreements hang off the same primitive: a stable hash of the placed
+// layout.
 //
 // Hash covers everything that affects block interpretation (name, size,
 // and every field's name, kind, offset, and capacity) and nothing that
@@ -11,18 +11,11 @@
 // are interchangeable. Desc is the JSON-able projection of a schema
 // (what cmd/schemadiff emits per build), and CompareDesc is the
 // field-level compatibility report between two such projections.
-//
-// CheckImage is the import-side bounds pass: a block image arriving from
-// another runtime crosses a trust boundary and is validated exactly like
-// hostile gate input — every length word against its capacity, every
-// string area for termination, the runtime-owned demux words for
-// cleanliness — before any byte of it is interpreted.
 
 package gateabi
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -161,54 +154,6 @@ func VerifyDesc(old, new Desc) error {
 	if changes := CompareDesc(old, new); len(changes) != 0 {
 		return fmt.Errorf("gateabi: schema %q: hash %#x unchanged but layout differs (%d changes)",
 			new.Name, new.Hash, len(changes))
-	}
-	return nil
-}
-
-// ErrBadImage is the errors.Is target for block-image validation
-// failures that are not per-field bounds errors (those surface as
-// *ArgBoundsError, same as any hostile decode).
-var ErrBadImage = errors.New("gateabi: malformed block image")
-
-// CheckImage validates a serialized block image against the schema with
-// the same rigor Load applies to hostile gate input: the image must be
-// exactly one block, every length-prefixed field's length word must be
-// within its capacity, every string area must be terminated, and the
-// runtime-owned demux words must be zero (a forged conn id or descriptor
-// number in an imported image must never reach a slot). It returns the
-// first violation.
-func (s *Schema) CheckImage(img []byte) error {
-	if len(img) != s.size {
-		return fmt.Errorf("%w: %s: image is %d bytes, block is %d",
-			ErrBadImage, s.name, len(img), s.size)
-	}
-	for _, f := range s.fields {
-		switch f.Kind {
-		case KindBytes:
-			n := binary.LittleEndian.Uint64(img[f.Off:])
-			if n > uint64(f.Cap) {
-				return &ArgBoundsError{Schema: s.name, Field: f.Name,
-					Len: clampInt(n), Cap: f.Cap, Decode: true}
-			}
-		case KindString:
-			area := img[f.Off : int(f.Off)+f.Cap]
-			terminated := false
-			for _, b := range area {
-				if b == 0 {
-					terminated = true
-					break
-				}
-			}
-			if !terminated {
-				return fmt.Errorf("%w: %s: string field %q is unterminated",
-					ErrBadImage, s.name, f.Name)
-			}
-		case KindConnID, KindFD:
-			if binary.LittleEndian.Uint64(img[f.Off:]) != 0 {
-				return fmt.Errorf("%w: %s: demux word %q is nonzero",
-					ErrBadImage, s.name, f.Name)
-			}
-		}
 	}
 	return nil
 }

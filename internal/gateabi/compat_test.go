@@ -1,8 +1,6 @@
 package gateabi
 
 import (
-	"encoding/binary"
-	"errors"
 	"testing"
 )
 
@@ -157,59 +155,5 @@ func TestVerifyDesc(t *testing.T) {
 	forged.Hash = a.Hash // a build that changed layout but kept the hash
 	if err := VerifyDesc(a, forged); err == nil {
 		t.Fatal("stale hash with changed layout passed VerifyDesc")
-	}
-}
-
-// TestCheckImage: exact size, bounded length words, terminated strings,
-// zero demux words — each violation refused.
-func TestCheckImage(t *testing.T) {
-	s := compatSchema()
-	good := make([]byte, s.Size())
-	// user: a NUL-terminated string inside its area; payload: length 3.
-	var userOff, payloadOff int
-	for _, f := range s.Fields() {
-		switch f.Name {
-		case "user":
-			userOff = int(f.Off)
-		case "payload":
-			payloadOff = int(f.Off)
-		}
-	}
-	copy(good[userOff:], "alice\x00")
-	binary.LittleEndian.PutUint64(good[payloadOff:], 3)
-	if err := s.CheckImage(good); err != nil {
-		t.Fatalf("good image refused: %v", err)
-	}
-
-	short := good[:len(good)-1]
-	if err := s.CheckImage(short); !errors.Is(err, ErrBadImage) {
-		t.Errorf("short image: %v", err)
-	}
-
-	overLen := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint64(overLen[payloadOff:], 65) // cap is 64
-	var abe *ArgBoundsError
-	if err := s.CheckImage(overLen); err == nil || !errors.As(err, &abe) || !abe.Decode {
-		t.Errorf("oversized length word: %v", err)
-	}
-
-	unterminated := append([]byte(nil), good...)
-	for i := 0; i < 32; i++ {
-		unterminated[userOff+i] = 'x'
-	}
-	if err := s.CheckImage(unterminated); err == nil {
-		t.Error("unterminated string accepted")
-	}
-
-	forgedConn := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint64(forgedConn[s.ConnIDOff():], 9)
-	if err := s.CheckImage(forgedConn); !errors.Is(err, ErrBadImage) {
-		t.Errorf("forged conn id: %v", err)
-	}
-
-	forgedFD := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint64(forgedFD[s.FDOff():], 3)
-	if err := s.CheckImage(forgedFD); !errors.Is(err, ErrBadImage) {
-		t.Errorf("forged fd word: %v", err)
 	}
 }

@@ -1,60 +1,50 @@
-// Batched dataplane mode (Config.BatchDepth > 0): every slot's argument
-// arena holds a ring of schema-sized entry blocks, producers reserve and
-// commit entries instead of holding the slot exclusively, and one
-// long-lived worker gate per slot drains the ring run-to-completion
-// (sthread.NewRecycledBatch). The classic per-call costs this removes:
-// the per-invocation futex round trip (one doorbell covers a whole
-// batch), the per-call scrub (scrubbing happens per principal switch),
-// and the slot-exclusive lease (a slot pipelines up to BatchDepth
-// entries).
+// The ring dataplane: every slot's argument arena holds a ring of
+// schema-sized entry blocks, a producer reserves and commits an entry
+// instead of holding the slot exclusively, and one long-lived worker gate
+// per slot drains the ring run-to-completion (sthread.NewRecycledBatch).
+// The per-call costs this removes: the per-invocation futex round trip
+// (one doorbell covers a whole sweep), and the per-call scrub (scrubbing
+// happens per principal switch).
 //
-// Residue rules. With multiple principals' entries resident in one ring
-// at once, the arena is shared in a way a classic slot never is: the
-// worker invocation for principal P can reach the argument bytes of
-// *pending* entries reserved by other principals. That concurrent-window
-// exposure is inherent to batching and is documented, not defended. What
-// the pool does defend — the batched analogue of the §3.3 scrub — is
-// residue of *finished* work: before the worker runs an entry for P,
-// every ring position whose resident bytes belong to a different
-// principal's completed (or freed) entry is zeroed. Consecutive entries
-// for the same principal skip that zeroing entirely (ScrubsSkipped),
-// which is the warm-slot affinity win the scheduler aims dispatch at.
+// The binding rule. A lease binds to a slot's ring only when that ring is
+// free: no reserved entry waits there and no body runs there. Otherwise
+// the lease waits unbound in the pool's FIFO queue, and once CallBatch
+// commits it the first ring to become free takes it (bindWaitersLocked,
+// called wherever a ring can free: completion, dispatch abort, release,
+// Resize growth). No entry ever waits behind another entry's body, so a
+// session blocked inside its body — a held pop3 login, a parked dnsd flow
+// — strands nothing: every committed lease either runs on a free ring or
+// waits in the one queue that every freeing ring serves. A bound lease
+// never moves.
 //
-// Liveness. A producer's entry may sit queued behind a worker stuck in a
-// long invocation. To keep the pool work-conserving — and to keep one
-// blocked session from wedging others, which the serve runtime's drain
-// and resize semantics depend on — a worker that drains its own ring
-// steals the oldest undispatched entry from the most backlogged other
-// slot: the victim entry is cancelled in place, its metadata and
-// argument bytes move to the thief's ring, and the producer's lease is
-// re-pointed before it is released from Await.
+// Residue rules. Because nothing waits behind a running body, the worker
+// invocation for principal P finds no other principal's pending argument
+// bytes in its ring. Before it runs P's entry, every ring position whose
+// resident bytes belong to a different principal's finished entry is
+// zeroed — the batched analogue of the §3.3 scrub. Consecutive entries
+// for the same principal skip that zeroing (ScrubsSkipped), which is the
+// warm-slot affinity win the scheduler aims binding at.
 package gatepool
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"wedge/internal/kernel"
-	"wedge/internal/policy"
 	"wedge/internal/sthread"
 	"wedge/internal/vm"
 )
 
-// ErrNotBatched rejects batch-protocol calls on a classic pool (and vice
-// versa).
-var ErrNotBatched = errors.New("gatepool: pool is not in batched mode")
-
-var errCancelled = errors.New("gatepool: ring entry cancelled before dispatch")
-
-// slotRing is one slot's batched-mode state. All fields are guarded by
-// the pool lock except the ring itself, which has its own discipline.
+// slotRing is one slot's ring state. All fields are guarded by the pool
+// lock except the ring itself, which has its own discipline. A respawned
+// worker gets a fresh slotRing.
 type slotRing struct {
-	ring     *sthread.BatchRing
-	gateName string
+	ring *sthread.BatchRing
 
 	nextSeq  uint64 // next sequence number to reserve
-	pubSeq   uint64 // contiguous committed watermark given to PublishTo
-	hookSeq  uint64 // next sequence the dispatch hook will observe
+	pubSeq   uint64 // entries published to the worker
+	hookSeq  uint64 // entries the dispatch hook has taken (run or aborted)
 	recycled uint64 // entries fully retired (consumed and released), in order
 
 	inBody bool // the worker is inside an entry body right now
@@ -62,80 +52,34 @@ type slotRing struct {
 	// owner[pos] names the principal whose bytes sit in ring position pos
 	// (argument block + header), or "" when the position is clean. Set at
 	// reserve, cleared by scrubbing.
-	owner   []string
-	entries []ringEntry
+	owner []string
+	// leases[pos] is the lease holding position pos, valid while its
+	// sequence number is unrecycled.
+	leases []*Lease
 
 	lastPrincipal string // most recently dispatched principal, for stats
 }
 
-// ringEntry is the host-side record of one reservation. The struct is
-// overwritten wholesale when its position is reserved again.
-type ringEntry struct {
-	seq       uint64
-	lease     *Lease
-	principal string
-
-	active    bool // reserved and not yet consumed
-	committed bool // published (or eligible for publishing)
-	cancelled bool // dispatch must skip it (early release or migration)
-	consumed  bool // the worker (or a dead-gate fast path) retired it
-	released  bool // the producer released the lease
-
-	connID uint64
-	fd     int
-	fdPerm kernel.FDPerm
-	caller *kernel.Task
-}
-
 func (br *slotRing) inflightLocked() int { return int(br.nextSeq - br.recycled) }
-
-// entryFor returns the ring entry currently occupying seq's position,
-// valid only while seq is unrecycled.
-func (br *slotRing) entryFor(seq uint64) *ringEntry {
-	return &br.entries[seq%uint64(len(br.entries))]
-}
-
-// advancePubLocked moves the publish watermark over the contiguous
-// committed prefix and returns it.
-func (br *slotRing) advancePubLocked() uint64 {
-	for br.pubSeq < br.nextSeq {
-		e := br.entryFor(br.pubSeq)
-		if e.seq != br.pubSeq || !e.committed {
-			break
-		}
-		br.pubSeq++
-	}
-	return br.pubSeq
-}
 
 // recycleLocked returns fully retired positions (consumed and released,
 // in sequence order) to the free pool.
 func (br *slotRing) recycleLocked() {
 	for br.recycled < br.nextSeq {
-		e := br.entryFor(br.recycled)
-		if e.seq != br.recycled || !e.consumed || !e.released {
+		l := br.leases[br.recycled%uint64(len(br.leases))]
+		if !l.consumed || !l.done {
 			break
 		}
 		br.recycled++
 	}
 }
 
-// Batched reports whether the pool runs the ring protocol.
-func (p *Pool) Batched() bool { return p.cfg.BatchDepth > 0 }
-
-// BatchDepth reports the per-slot ring depth (0 for a classic pool).
-func (p *Pool) BatchDepth() int { return p.cfg.BatchDepth }
-
 // newBatchGate builds the slot's ring worker: the ring lives at the
 // slot's arena base, and the dispatch/complete hooks give the pool its
 // per-entry control points (scrub, demux, fd grant/revoke, recycling).
 func (p *Pool) newBatchGate(s *slot, def GateDef) (*sthread.Recycled, error) {
-	sc := def.SC
-	if sc == nil {
-		sc = policy.New()
-	}
-	eff := sc.Clone()
-	if err := eff.MemAdd(s.argTag, vm.PermRW); err != nil {
+	eff, err := gateSC(s, def)
+	if err != nil {
 		return nil, err
 	}
 	name := fmt.Sprintf("%s/%s-%d", p.cfg.Name, def.Name, s.index)
@@ -153,65 +97,150 @@ func (p *Pool) newBatchGate(s *slot, def GateDef) (*sthread.Recycled, error) {
 		return nil, err
 	}
 	s.br = &slotRing{
-		ring:     ring,
-		gateName: def.Name,
-		owner:    make([]string, p.cfg.BatchDepth),
-		entries:  make([]ringEntry, p.cfg.BatchDepth),
+		ring:   ring,
+		owner:  make([]string, p.cfg.BatchDepth),
+		leases: make([]*Lease, p.cfg.BatchDepth),
 	}
 	return gate, nil
 }
 
-// selectBatchLocked picks a slot with ring space for principal, or nil
-// when every usable ring is full. Preference order: an idle slot still
-// warm with this principal's bytes, then any idle slot (starting from
-// the principal's home shard), then the least-loaded slot — queueing
-// behind an active worker is allowed because work stealing guarantees a
-// queued entry outlives a stuck one.
-func (p *Pool) selectBatchLocked(principal string) (*slot, bool) {
+// ringFreeLocked reports whether s can bind a lease now: no reserved
+// entry waits on its ring and no body runs there. A drained ring is free
+// even when its worker is dead: binding respawns the worker.
+func (p *Pool) ringFreeLocked(s *slot) bool {
+	br := s.br
+	switch inflight := br.inflightLocked(); {
+	case s.retiring || inflight >= p.cfg.BatchDepth:
+		return false
+	case inflight == 0:
+		return true
+	}
+	return br.hookSeq == br.nextSeq && !br.inBody && s.gates[p.batchDef.Name].Alive()
+}
+
+// freeRingLocked picks a free ring for principal, or nil when none is
+// free: one still warm with this principal's bytes first, then the
+// principal's home slot, then any. The bool reports a pick off the home
+// slot.
+func (p *Pool) freeRingLocked(principal string) (*slot, bool) {
 	n := p.liveCountLocked()
 	if n == 0 {
 		return nil, false
 	}
 	home := p.liveSlotLocked(homeFor(principal, n))
-	var idleWarm, idleAny, least *slot
+	var warm, free *slot
 	for _, s := range p.slots {
-		if s.retiring || s.br == nil {
+		if !p.ringFreeLocked(s) {
 			continue
 		}
-		br := s.br
-		if br.inflightLocked() >= p.cfg.BatchDepth {
-			continue
+		if warm == nil && s.br.lastPrincipal == principal {
+			warm = s
 		}
-		if g := s.gates[br.gateName]; g == nil || !g.Alive() {
-			// A dead worker is selectable only once its ring has drained —
-			// leaseBatchLocked respawns it on arrival.
-			if br.inflightLocked() > 0 {
-				continue
-			}
-		}
-		if br.hookSeq == br.pubSeq && !br.inBody {
-			if br.lastPrincipal == principal && idleWarm == nil {
-				idleWarm = s
-			}
-			if idleAny == nil || s == home {
-				idleAny = s
-			}
-		}
-		if least == nil || br.inflightLocked() < least.br.inflightLocked() {
-			least = s
+		if free == nil || s == home {
+			free = s
 		}
 	}
-	pick := idleWarm
+	pick := warm
 	if pick == nil {
-		pick = idleAny
-	}
-	if pick == nil {
-		pick = least
+		pick = free
 	}
 	if pick == nil {
 		return nil, false
 	}
 	return pick, pick != home
+}
+
+// reviveLocked replaces the slot's dead gates. A dead worker is only
+// revived on a drained ring (ringFreeLocked), so its whole arena — stale
+// residue included — is reset with it.
+func (p *Pool) reviveLocked(s *slot) error {
+	for _, def := range p.cfg.Gates {
+		g := s.gates[def.Name]
+		if g.Alive() {
+			continue
+		}
+		g.Close() // retire the dead gate's control state
+		var err error
+		if def.Batch != nil {
+			size := sthread.BatchRingBytes(p.cfg.BatchDepth, p.entrySize)
+			if err = p.root.Zero(s.argBase, size); err == nil {
+				g, err = p.newBatchGate(s, def)
+			}
+		} else {
+			g, err = p.newGate(s, def)
+		}
+		if err != nil {
+			return fmt.Errorf("gatepool: replacing dead gate %q: %w", def.Name, err)
+		}
+		s.gates[def.Name] = g
+		s.replaced++
+		p.replaced++
+	}
+	return nil
+}
+
+// bindLocked reserves the next entry of s's free ring for l. The position
+// is scrubbed here if it still holds another principal's bytes, so the
+// producer gets a clean block to marshal into.
+func (p *Pool) bindLocked(l *Lease, s *slot, stolen bool) error {
+	if err := p.reviveLocked(s); err != nil {
+		return err
+	}
+	br := s.br
+	seq := br.nextSeq
+	pos := int(seq % uint64(p.cfg.BatchDepth))
+	switch owner := br.owner[pos]; {
+	case owner == "" || p.cfg.NoScrub:
+	case owner != l.Principal:
+		if err := p.scrubPosLocked(s, pos); err != nil {
+			return fmt.Errorf("gatepool: scrubbing slot %d pos %d: %w", s.index, pos, err)
+		}
+		l.Scrubbed = true
+		s.scrubs++
+		p.scrubs++
+	default:
+		// Reusing a position warm with our own bytes: the affinity win.
+		p.affinityHits++
+	}
+	br.owner[pos] = l.Principal
+	br.leases[pos] = l
+	br.nextSeq++
+	l.s, l.seq = s, seq
+	l.Slot, l.ArgTag, l.Arg, l.Stolen = s.index, s.argTag, br.ring.EntryAddr(seq), stolen
+	if stolen {
+		s.steals++
+		p.steals++
+	}
+	return nil
+}
+
+// bindWaitersLocked gives free rings to committed queued leases, oldest
+// first, publishing each at once: a worker that binds its next lease in
+// its own Complete hook keeps sweeping without parking. Called wherever a
+// ring can free, so a committed lease never waits while a ring is free.
+func (p *Pool) bindWaitersLocked() {
+	for i := 0; i < len(p.queue); {
+		l := p.queue[i]
+		if !l.committed {
+			i++
+			continue
+		}
+		s, stolen := p.freeRingLocked(l.Principal)
+		if s == nil {
+			return
+		}
+		p.queue = slices.Delete(p.queue, i, i+1)
+		if err := p.bindLocked(l, s, stolen); err != nil {
+			l.err = err
+		} else {
+			s.br.pubSeq = l.seq + 1
+			// The error is dropped: the trusted published count moves
+			// before the simulated tail store, which fails only on an
+			// unmapped arena, and the worker judges by the former.
+			_ = s.br.ring.PublishTo(s.br.pubSeq)
+		}
+		close(l.ready)
+	}
 }
 
 // scrubPosLocked zeroes one ring position's argument block and header
@@ -228,234 +257,108 @@ func (p *Pool) scrubPosLocked(s *slot, pos int) error {
 	return nil
 }
 
-// leaseBatchLocked reserves the next ring entry on s for principal. The
-// position is scrubbed here if it still holds another principal's bytes,
-// so the producer gets a clean block to marshal into; dead gates (the
-// worker and the slot's classic nested gates alike) are replaced first.
-func (p *Pool) leaseBatchLocked(s *slot, principal string, stolen bool) (*Lease, error) {
-	br := s.br
-	// Respawn a dead worker — selection only routed us here if the ring
-	// is fully drained, so the whole arena (stale residue included) can
-	// be reset wholesale.
-	if g := s.gates[br.gateName]; g == nil || !g.Alive() {
-		if g != nil {
-			g.Close()
-		}
-		size := sthread.BatchRingBytes(p.cfg.BatchDepth, p.entrySize)
-		if err := p.root.Zero(s.argBase, size); err != nil {
-			return nil, fmt.Errorf("gatepool: resetting slot %d ring: %w", s.index, err)
-		}
-		gate, err := p.newBatchGate(s, p.batchDef)
-		if err != nil {
-			return nil, fmt.Errorf("gatepool: replacing dead batch gate %q: %w", p.batchDef.Name, err)
-		}
-		s.gates[p.batchDef.Name] = gate
-		br = s.br
-		s.replaced++
-		p.replaced++
-	}
-	// Liveness-probe the classic nested gates, as leaseLocked does.
-	for _, def := range p.cfg.Gates {
-		if def.Batch != nil {
-			continue
-		}
-		if g := s.gates[def.Name]; g != nil {
-			if g.Alive() {
-				continue
-			}
-			g.Close()
-		}
-		gate, err := p.newGate(s, def)
-		if err != nil {
-			return nil, fmt.Errorf("gatepool: replacing dead gate %q: %w", def.Name, err)
-		}
-		s.gates[def.Name] = gate
-		s.replaced++
-		p.replaced++
-	}
-
-	seq := br.nextSeq
-	pos := int(seq % uint64(p.cfg.BatchDepth))
-	scrubbed := false
-	switch owner := br.owner[pos]; {
-	case owner == "" || p.cfg.NoScrub:
-	case owner != principal:
-		if err := p.scrubPosLocked(s, pos); err != nil {
-			return nil, fmt.Errorf("gatepool: scrubbing slot %d pos %d: %w", s.index, pos, err)
-		}
-		scrubbed = true
-		s.scrubs++
-		p.scrubs++
-	default:
-		// Reusing a position warm with our own bytes: the affinity win.
-		p.affinityHits++
-	}
-	br.owner[pos] = principal
-	br.nextSeq++
-	lease := &Lease{
-		Principal: principal,
-		Slot:      s.index,
-		ArgTag:    s.argTag,
-		Arg:       br.ring.EntryAddr(seq),
-		Scrubbed:  scrubbed,
-		Stolen:    stolen,
-		pool:      p,
-		s:         s,
-		batch:     true,
-		seq:       seq,
-	}
-	br.entries[pos] = ringEntry{
-		seq:       seq,
-		lease:     lease,
-		principal: principal,
-		active:    true,
-		fd:        -1,
-	}
-	if stolen {
-		s.steals++
-		p.steals++
-	}
-	s.principal = principal
-	p.acquires++
-	return lease, nil
-}
-
 // CallBatch commits the lease's ring entry and blocks until the slot
-// worker completes it, returning the worker's return word. connID is
+// worker completes it, returning the worker's return word. An unbound
+// lease first waits in the pool queue until a ring takes it. connID is
 // stored into the schema's demux words at dispatch (along with fd, when
 // the schema declares them); fd, when non-negative, is granted to the
-// worker for the duration of the entry and revoked at completion. The
-// one-publish-per-commit doorbell is amortized by the ring: if the
-// worker is mid-batch the publish costs no wake at all.
+// worker for the duration of the entry and revoked at completion. If the
+// worker is mid-sweep the publish costs no wake at all.
 func (l *Lease) CallBatch(caller *sthread.Sthread, connID uint64, fd int, perm kernel.FDPerm) (vm.Addr, error) {
 	p := l.pool
-	if !l.batch {
-		return 0, ErrNotBatched
-	}
 	p.mu.Lock()
-	if l.done {
+	if l.done || l.committed {
 		p.mu.Unlock()
-		return 0, errors.New("gatepool: CallBatch on a released lease")
+		return 0, errors.New("gatepool: CallBatch on a released or committed lease")
+	}
+	l.committed = true
+	l.connID, l.fd, l.fdPerm = connID, fd, perm
+	if caller != nil {
+		l.caller = caller.Task
+	}
+	if l.s == nil {
+		p.bindWaitersLocked() // a ring may have freed since Acquire
+		p.mu.Unlock()
+		<-l.ready
+		if l.s == nil {
+			return 0, l.err
+		}
+		return l.s.br.ring.Await(l.seq)
 	}
 	br := l.s.br
-	e := br.entryFor(l.seq)
-	if e.seq != l.seq || e.committed {
-		p.mu.Unlock()
-		return 0, errors.New("gatepool: CallBatch entry already committed")
-	}
-	e.connID = connID
-	e.fd = fd
-	e.fdPerm = perm
-	if caller != nil {
-		e.caller = caller.Task
-	}
-	e.committed = true
-	target := br.advancePubLocked()
+	br.pubSeq = l.seq + 1
 	ring := br.ring
 	p.mu.Unlock()
-	if err := ring.PublishTo(target); err != nil {
+	if err := ring.PublishTo(l.seq + 1); err != nil {
 		return 0, err
 	}
-	return l.batchAwait()
+	return ring.Await(l.seq)
 }
 
-// batchAwait blocks on the lease's current ring binding, chasing it
-// across migrations: a steal aborts the producer out of the old ring and
-// sets rebound, and the loop re-reads the binding and waits again.
-func (l *Lease) batchAwait() (vm.Addr, error) {
-	p := l.pool
-	for {
-		p.mu.Lock()
-		ring, seq := l.s.br.ring, l.seq
-		p.mu.Unlock()
-		ret, err := ring.Await(seq)
-		if err != nil {
-			p.mu.Lock()
-			if l.rebound {
-				l.rebound = false
-				p.mu.Unlock()
-				continue
-			}
-			p.mu.Unlock()
-		}
-		return ret, err
-	}
-}
-
-// Dispatched reports whether service of this lease's work has begun: a
-// classic lease dispatches the moment it calls, so it is always true; a
-// batched lease's ring entry may still be queued behind a busy worker.
-// Expiry policies use it — a connection whose worker has not yet read a
-// byte is waiting, not idle, and reaping it would silently drop its
-// queued input.
+// Dispatched reports whether service of this lease's work has begun: its
+// entry reached the worker, or the lease is over. Expiry policies use it
+// — a session still waiting for a ring has not read a byte, and reaping
+// it would silently drop its queued input.
 func (l *Lease) Dispatched() bool {
-	if !l.batch {
-		return true
-	}
 	p := l.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if l.done || l.s == nil || l.s.br == nil {
-		return true
-	}
-	return l.s.br.hookSeq > l.seq
+	return l.done || l.s != nil && l.s.br.hookSeq > l.seq
 }
 
 // batchDispatch is the worker-side gate into an entry: it runs on the
-// worker goroutine just before the body sees the entry. Cancelled
-// entries are consumed here without running; live ones get the
-// principal-switch scrub, their demux words, and their fd grant.
+// worker goroutine just before the body sees the entry, and gives it the
+// principal-switch scrub, its demux words, and its fd grant. A failure
+// aborts the entry without running untrusted code.
 func (p *Pool) batchDispatch(s *slot, seq uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	br := s.br
-	br.hookSeq = seq + 1
 	// An entry may not dispatch until every earlier entry on this ring is
 	// fully retired — consumed by the worker AND released by its producer.
-	// The release half is the point: after CallBatch returns, the producer
-	// is still reading its result bytes and running its per-connection
-	// unwind (EndConn), and the classic exclusive lease guaranteed both
-	// finished before the next connection could touch the slot. Waiting
-	// here preserves that invariant — a later entry's scrub cannot destroy
-	// results a producer has not read, and slot-owned cleanup (e.g. sshd's
-	// worker demotion) lands before the next principal's service begins.
-	// The wait is producer-unwind-short, so the run-to-completion sweep
-	// keeps its amortized doorbell; it does not park the worker's futex.
+	// After CallBatch returns, the producer is still reading its result
+	// bytes and running its per-connection unwind (EndConn); waiting here
+	// means a later entry's scrub cannot destroy results a producer has
+	// not read, and slot-owned cleanup (e.g. sshd's worker demotion)
+	// lands before the next principal's service begins. The wait is
+	// producer-unwind-short and does not park the worker's futex. The
+	// entry stays undispatched meanwhile, so nothing else binds here.
 	for br.recycled < seq {
 		p.retired.Wait()
 	}
-	e := br.entryFor(seq)
-	if e.seq != seq || e.cancelled {
-		p.consumeLocked(s, e)
-		return errCancelled
+	br.hookSeq = seq + 1
+	l := br.leases[seq%uint64(len(br.leases))]
+	if err := p.enterLocked(s, l); err != nil {
+		p.consumeLocked(s, l)
+		p.bindWaitersLocked()
+		return err
 	}
+	br.inBody = true
+	br.lastPrincipal = l.Principal
+	return nil
+}
 
-	// Principal-switch scrub: zero every position whose resident bytes
-	// belong to a different principal's finished entry. Positions holding
-	// other principals' *pending* entries are left alone — that window is
-	// the documented batching exposure, and zeroing them would destroy
-	// their producers' arguments.
+// enterLocked prepares the ring for l's body. Principal-switch scrub:
+// zero every position whose resident bytes belong to a different
+// principal. Every other entry of this ring is retired by now (see
+// batchDispatch, and nothing binds behind an undispatched entry), so the
+// pass can never destroy a pending producer's arguments.
+func (p *Pool) enterLocked(s *slot, l *Lease) error {
+	br := s.br
 	if !p.cfg.NoScrub {
+		cur := int(l.seq % uint64(len(br.owner)))
 		zeroed, dirtySkipped := false, false
-		for pos := range br.owner {
-			owner := br.owner[pos]
-			if owner == "" {
-				continue
-			}
-			if owner == e.principal {
-				if uint64(pos) != seq%uint64(len(br.entries)) {
-					dirtySkipped = true
+		for pos, owner := range br.owner {
+			switch {
+			case owner == "" || pos == cur:
+			case owner == l.Principal:
+				dirtySkipped = true
+			default:
+				if err := p.scrubPosLocked(s, pos); err != nil {
+					return err
 				}
-				continue
+				zeroed = true
 			}
-			if pe := &br.entries[pos]; pe.active && !pe.consumed {
-				continue
-			}
-			if err := p.scrubPosLocked(s, pos); err != nil {
-				p.consumeLocked(s, e)
-				return err
-			}
-			zeroed = true
 		}
 		if zeroed {
 			s.scrubs++
@@ -465,232 +368,72 @@ func (p *Pool) batchDispatch(s *slot, seq uint64) error {
 			p.scrubsSkipped++
 		}
 	}
-	br.lastPrincipal = e.principal
-	s.principal = e.principal
 
 	// Demux words go in after the scrub pass, straight into the entry
 	// block the worker is about to read.
 	if sch := p.cfg.Schema; sch != nil && sch.HasDemux() {
-		arg := br.ring.EntryAddr(seq)
-		p.root.Store64(arg+sch.ConnIDOff(), e.connID)
+		arg := br.ring.EntryAddr(l.seq)
+		p.root.Store64(arg+sch.ConnIDOff(), l.connID)
 		fdw := uint64(0)
-		if e.fd >= 0 {
-			fdw = uint64(e.fd)
+		if l.fd >= 0 {
+			fdw = uint64(l.fd)
 		}
 		p.root.Store64(arg+sch.FDOff(), fdw)
 	}
 
-	if e.fd >= 0 && e.caller != nil {
-		g := s.gates[br.gateName]
-		if g == nil {
-			p.consumeLocked(s, e)
-			return errCancelled
-		}
-		if err := e.caller.ShareFDTo(g.Sthread().Task, e.fd, e.fdPerm); err != nil {
-			p.consumeLocked(s, e)
-			return fmt.Errorf("gatepool: granting fd %d: %w", e.fd, err)
+	if l.fd >= 0 && l.caller != nil {
+		worker := s.gates[p.batchDef.Name].Sthread().Task
+		if err := l.caller.ShareFDTo(worker, l.fd, l.fdPerm); err != nil {
+			return fmt.Errorf("gatepool: granting fd %d: %w", l.fd, err)
 		}
 	}
-	br.inBody = true
 	return nil
 }
 
 // batchComplete retires an entry the worker finished: revoke its fd,
-// recycle its position, and — if this drained the slot's ring — steal
-// queued work from the most backlogged sibling so the worker keeps
-// running to completion instead of parking.
+// count it, and hand the now-free ring to the oldest committed waiter.
 func (p *Pool) batchComplete(s *slot, seq uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	br := s.br
 	br.inBody = false
-	e := br.entryFor(seq)
-	if e.seq == seq {
-		if e.fd >= 0 {
-			if g := s.gates[br.gateName]; g != nil {
-				g.Sthread().Task.CloseFD(e.fd)
-			}
-		}
-		s.invocations.Add(1)
-		p.consumeLocked(s, e)
+	l := br.leases[seq%uint64(len(br.leases))]
+	if l.fd >= 0 {
+		s.gates[p.batchDef.Name].Sthread().Task.CloseFD(l.fd)
 	}
-	if br.hookSeq == br.pubSeq && !p.closed {
-		p.stealIntoLocked(s)
-	}
+	s.invocations.Add(1)
+	p.consumeLocked(s, l)
+	p.bindWaitersLocked()
 }
 
-// consumeLocked marks an entry consumed and drives the recycle cursor,
-// waking waiters and reaping a retiring slot that just went quiet. Safe
-// from both producer and worker contexts; the worker context defers the
-// actual removal to a fresh goroutine because closing the slot's gates
-// joins the worker itself.
-func (p *Pool) consumeLocked(s *slot, e *ringEntry) {
-	e.consumed = true
-	e.active = false
-	e.lease = nil
+// consumeLocked marks an entry consumed and drives the recycle cursor.
+func (p *Pool) consumeLocked(s *slot, l *Lease) {
+	l.consumed = true
 	s.br.recycleLocked()
 	p.retired.Broadcast()
-	p.freed.Signal()
-	if p.draining {
-		p.freed.Broadcast()
-	}
-	if s.retiring && s.br.inflightLocked() == 0 {
-		go p.reapRetiring(s)
-	}
 }
 
-// reapRetiring removes a retiring slot once its ring has drained,
-// re-checking everything under the lock: the slot may already be gone,
-// or new work may never arrive (retiring slots take no reservations).
-func (p *Pool) reapRetiring(s *slot) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || !s.retiring || s.br == nil || s.br.inflightLocked() != 0 {
-		return
-	}
-	for _, live := range p.slots {
-		if live == s {
-			p.removeSlotLocked(s)
-			p.freed.Broadcast()
-			return
-		}
-	}
-}
-
-// stealIntoLocked migrates the oldest undispatched entry from the most
-// backlogged stuck sibling onto dst's ring. Only victims whose worker is
-// parked inside an entry body are robbed: a worker that is sweeping will
-// reach its queue on its own, and a dead gate's producers have already
-// been failed by Await.
-func (p *Pool) stealIntoLocked(dst *slot) {
-	dbr := dst.br
-	if dst.retiring || dbr.inflightLocked() >= p.cfg.BatchDepth {
-		return
-	}
-	if g := dst.gates[dbr.gateName]; g == nil || !g.Alive() {
-		return
-	}
-	var victim *slot
-	var backlog uint64
-	for _, v := range p.slots {
-		if v == dst || v.br == nil || !v.br.inBody {
-			continue
-		}
-		if g := v.gates[v.br.gateName]; g == nil || !g.Alive() {
-			continue
-		}
-		if q := v.br.pubSeq - v.br.hookSeq; q > backlog {
-			victim, backlog = v, q
-		}
-	}
-	if victim == nil {
-		return
-	}
-	vbr := victim.br
-	var src *ringEntry
-	for seq := vbr.hookSeq; seq < vbr.pubSeq; seq++ {
-		e := vbr.entryFor(seq)
-		if e.seq == seq && e.committed && !e.cancelled && !e.consumed && e.lease != nil {
-			src = e
-			break
-		}
-	}
-	if src == nil {
-		return
-	}
-
-	l := src.lease
-	oldSeq := src.seq
-	nseq := dbr.nextSeq
-	npos := int(nseq % uint64(p.cfg.BatchDepth))
-	if owner := dbr.owner[npos]; owner != "" && owner != src.principal && !p.cfg.NoScrub {
-		if p.scrubPosLocked(dst, npos) != nil {
-			return
-		}
-		dst.scrubs++
-		p.scrubs++
-	}
-	dbr.owner[npos] = src.principal
-	// Move the argument bytes the producer marshalled before committing.
-	as := p.root.Task.AS
-	from := vbr.ring.EntryAddr(oldSeq)
-	to := dbr.ring.EntryAddr(nseq)
-	for off := vm.Addr(0); off < vm.Addr(p.entrySize); off += 8 {
-		w, err := as.Load64(from + off)
-		if err != nil {
-			return
-		}
-		if as.Store64(to+off, w) != nil {
-			return
-		}
-	}
-	dbr.entries[npos] = ringEntry{
-		seq:       nseq,
-		lease:     l,
-		principal: src.principal,
-		active:    true,
-		committed: true,
-		connID:    src.connID,
-		fd:        src.fd,
-		fdPerm:    src.fdPerm,
-		caller:    src.caller,
-	}
-	dbr.nextSeq++
-	// Cancel the original in place: the victim worker will consume it
-	// when it finally sweeps past, and the producer will never Release
-	// it, so retire the released half here.
-	src.cancelled = true
-	src.released = true
-	src.lease = nil
-	// Re-point the lease, then kick its producer out of the old Await.
-	l.s = dst
-	l.seq = nseq
-	l.Slot = dst.index
-	l.Arg = to
-	l.ArgTag = dst.argTag
-	l.Stolen = true
-	l.rebound = true
-	dst.steals++
-	p.steals++
-	p.migrations++
-	target := dbr.advancePubLocked()
-	dbr.ring.PublishTo(target)
-	vbr.ring.AbortPending(oldSeq)
-}
-
-// releaseBatchLocked is the batched arm of Lease.Release: an uncommitted
-// entry is cancelled and published so the worker retires it; a committed
-// one just sheds its released flag. Entries stranded by a dead worker
-// are consumed here so the ring can drain and the gate respawn.
-func (p *Pool) releaseBatchLocked(l *Lease) {
+// releaseRingLocked is the bound arm of Lease.Release. An uncommitted
+// reservation is rolled back: nothing binds behind an undispatched entry,
+// so it is always its ring's newest, and no cancelled entry is ever
+// published. A committed entry stranded by a dead worker is retired here
+// so the ring can drain and the worker respawn. A retiring slot closes
+// when its ring empties; otherwise the ring may have freed for a waiter.
+func (p *Pool) releaseRingLocked(l *Lease) {
 	s := l.s
 	br := s.br
-	e := br.entryFor(l.seq)
-	if e.seq != l.seq || e.lease != l && e.lease != nil {
-		return
-	}
-	e.released = true
-	if !e.committed {
-		e.cancelled = true
-		e.committed = true
-		target := br.advancePubLocked()
-		br.ring.PublishTo(target)
-	}
-	if !e.consumed {
-		if g := s.gates[br.gateName]; g == nil || !g.Alive() {
-			e.consumed = true
-			e.active = false
-			e.lease = nil
-		}
+	switch {
+	case !l.committed:
+		br.nextSeq = l.seq
+		br.leases[l.seq%uint64(len(br.leases))] = nil
+	case !l.consumed && !s.gates[p.batchDef.Name].Alive():
+		l.consumed = true
 	}
 	br.recycleLocked()
 	p.retired.Broadcast()
 	if s.retiring && br.inflightLocked() == 0 {
-		for _, live := range p.slots {
-			if live == s {
-				p.removeSlotLocked(s)
-				break
-			}
-		}
+		p.removeSlotLocked(s)
+		return
 	}
+	p.bindWaitersLocked()
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"wedge/internal/policy"
 	"wedge/internal/sthread"
@@ -243,9 +244,10 @@ func TestBatchPoolNestedClassicGate(t *testing.T) {
 }
 
 // TestBatchPoolStealRescue wedges one slot's worker inside a body and
-// queues stepper sessions so at least one binds behind the wedge (the
-// least-loaded fallback); a sibling slot must steal and complete it while
-// the wedged body never returns — the liveness property serve's drain
+// runs stepper sessions while the wedge holds: none may bind behind the
+// wedged body — each either binds a free sibling ring at Acquire or waits
+// in the pool queue until the sibling frees — so all complete while the
+// wedged body never returns. This is the liveness property serve's drain
 // and resize semantics depend on.
 func TestBatchPoolStealRescue(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
@@ -284,10 +286,10 @@ func TestBatchPoolStealRescue(t *testing.T) {
 		}()
 		<-started
 
-		// Three steppers: the first lands on the free slot and blocks in
-		// its body; with no idle slot left, the least-loaded fallback
-		// then forces at least one of the rest behind the wedge.
+		// Three steppers: the first binds the free slot and blocks in its
+		// body; the rest find no free ring and queue in the pool.
 		var wg sync.WaitGroup
+		slots := make(chan int, 3)
 		for i := 0; i < 3; i++ {
 			wg.Add(1)
 			go func(i int) {
@@ -298,13 +300,16 @@ func TestBatchPoolStealRescue(t *testing.T) {
 					return
 				}
 				defer l.Release()
-				root.Store64(l.Arg, 777)
+				if l.Arg != 0 {
+					root.Store64(l.Arg, 777)
+				}
 				if _, err := l.CallBatch(root, 0, -1, 0); err != nil {
 					t.Errorf("stepper %d: %v", i, err)
 				}
+				slots <- l.Slot
 			}(i)
 		}
-		// Wait for all steppers to hold ring entries, then let them run.
+		// Wait for all steppers to hold their leases, then let them run.
 		for p.Stats().Acquires < 4 {
 			runtime.Gosched()
 		}
@@ -312,17 +317,171 @@ func TestBatchPoolStealRescue(t *testing.T) {
 			step <- struct{}{}
 		}
 		wg.Wait() // every stepper completed while the wedge is still held
-
-		if st := p.Stats(); st.Migrations == 0 {
-			t.Fatalf("steppers completed without any migration: %+v", st)
+		close(slots)
+		for s := range slots {
+			if s == held.Slot {
+				t.Errorf("a stepper ran on the wedged slot %d", s)
+			}
+		}
+		if st := p.Stats(); st.Gates[held.Slot].Inflight != 1 || st.Backlog != 0 {
+			t.Fatalf("after the steppers: %+v", st)
 		}
 		close(block)
 		<-heldDone
 	})
 }
 
+// TestPoolFreeRingTakesQueuedLease pins the wedge a queue-on-a-busy-slot
+// placement caused: with both workers held in bodies a third lease has no
+// free ring, and it must wait unbound rather than reserve behind either
+// body. Once slot 1's body finishes and its worker parks, committing the
+// third lease must run it on slot 1 while slot 0 is still held.
+func TestPoolFreeRingTakesQueuedLease(t *testing.T) {
+	withRoot(t, func(root *sthread.Sthread) {
+		release := []chan struct{}{make(chan struct{}), make(chan struct{})}
+		entered := make(chan uint64, 2)
+		body := func(g *sthread.Sthread, b *sthread.Batch, _ vm.Addr) {
+			for b.More() {
+				if k := g.Load64(b.Arg()); k > 0 {
+					entered <- k
+					<-release[k-1]
+				}
+				b.Complete(1)
+			}
+		}
+		p := newBatchPool(t, root, 2, 4, body, false)
+		defer p.Close()
+
+		// Hold both workers; release[k] frees the body on slot k.
+		heldDone := make(chan int, 2)
+		slots := map[int]bool{}
+		for i := 0; i < 2; i++ {
+			l, err := p.Acquire(fmt.Sprintf("held-%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots[l.Slot] = true
+			root.Store64(l.Arg, uint64(l.Slot+1))
+			go func() {
+				l.CallBatch(root, 0, -1, 0)
+				l.Release()
+				heldDone <- l.Slot
+			}()
+			<-entered
+		}
+		if !slots[0] || !slots[1] {
+			t.Fatalf("held sessions bound slots %v, want 0 and 1", slots)
+		}
+
+		third, err := p.Acquire("third")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer third.Release()
+
+		// Finish slot 1's body and wait until its worker has ended the
+		// sweep and parked.
+		close(release[1])
+		if s := <-heldDone; s != 1 {
+			t.Fatalf("slot %d's session finished, want slot 1's", s)
+		}
+		for p.Stats().Batches < 1 {
+			runtime.Gosched()
+		}
+
+		done := make(chan error, 1)
+		go func() {
+			_, err := third.CallBatch(root, 0, -1, 0)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("third CallBatch: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			st := p.Stats()
+			close(release[0]) // let slot 0 finish so the pool can close
+			<-done
+			t.Fatalf("the third lease never ran while slot 1 was free: %+v", st)
+		}
+		if third.Slot != 1 {
+			t.Fatalf("third lease ran on slot %d, want the freed slot 1", third.Slot)
+		}
+		close(release[0])
+		<-heldDone
+	})
+}
+
+// TestBatchPoolQueuedLeasesKeepSweep: a worker that completes an entry
+// binds the oldest committed queued lease in its Complete hook and keeps
+// sweeping without parking, so one doorbell covers the whole queue.
+func TestBatchPoolQueuedLeasesKeepSweep(t *testing.T) {
+	withRoot(t, func(root *sthread.Sthread) {
+		hold := make(chan struct{})
+		body := func(g *sthread.Sthread, b *sthread.Batch, _ vm.Addr) {
+			for b.More() {
+				if g.Load64(b.Arg()) == 999 {
+					<-hold
+				}
+				b.Complete(1)
+			}
+		}
+		p := newBatchPool(t, root, 1, 4, body, false)
+		defer p.Close()
+		held, err := p.Acquire("holder")
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.Store64(held.Arg, 999)
+		heldDone := make(chan struct{})
+		go func() {
+			held.CallBatch(root, 0, -1, 0)
+			held.Release()
+			close(heldDone)
+		}()
+		const queued = 3
+		var wg sync.WaitGroup
+		for i := 0; i < queued; i++ {
+			l, err := p.Acquire(fmt.Sprintf("queued-%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.Arg != 0 {
+				t.Fatalf("lease %d bound a busy ring", i)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer l.Release()
+				if _, err := l.CallBatch(root, 0, -1, 0); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		waitBacklog := func(n int) {
+			for p.Stats().Backlog != n {
+				runtime.Gosched()
+			}
+		}
+		waitBacklog(queued)
+		close(hold)
+		<-heldDone
+		wg.Wait()
+		st := p.Stats()
+		if st.BatchEntries != queued+1 || st.Batches != 1 {
+			t.Fatalf("batches=%d entries=%d, want one sweep over %d entries", st.Batches, st.BatchEntries, queued+1)
+		}
+		if st.Busy != 0 || st.Backlog != 0 {
+			t.Fatalf("busy=%d backlog=%d after the queue drained", st.Busy, st.Backlog)
+		}
+	})
+}
+
 // TestBatchPoolCancelBeforeCommit releases a reserved entry without
-// committing; the worker must retire it and the ring must drain.
+// committing: the reservation rolls back inside Release, so the ring is
+// idle the moment Release returns and no cancelled entry is ever
+// published. A queued lease released before commit leaves the queue.
 func TestBatchPoolCancelBeforeCommit(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
 		p := newBatchPool(t, root, 1, 2, batchEcho, false)
@@ -331,8 +490,19 @@ func TestBatchPoolCancelBeforeCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		queued, err := p.Acquire("carol")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if queued.Arg != 0 {
+			t.Fatal("second lease bound a reserved ring")
+		}
+		queued.Release()
 		l.Release() // cancel
-		p.Drain()   // must reach quiescence: the cancelled entry drains
+		if st := p.Stats(); st.Busy != 0 || st.Gates[0].Inflight != 0 {
+			t.Fatalf("after the release: busy=%d inflight=%d, want 0/0", st.Busy, st.Gates[0].Inflight)
+		}
+		p.Drain() // already quiescent
 		p.Undrain()
 		if ret := batchSession(t, p, root, "bob", 9); ret != 9 {
 			t.Fatalf("ret = %d", ret)
@@ -379,19 +549,26 @@ func TestBatchPoolDeadWorkerRespawn(t *testing.T) {
 	})
 }
 
-// TestBatchPoolConfigRejects checks the batched config validation.
+// TestBatchPoolConfigRejects checks the config validation: one worker
+// def, a ring depth of 1 to 64.
 func TestBatchPoolConfigRejects(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
 		if _, err := New(root, Config{BatchDepth: 2,
 			Gates: []GateDef{{Name: "g", Entry: echoGate}}}); err == nil {
-			t.Fatal("batched pool without a Batch def accepted")
+			t.Fatal("pool without a Batch def accepted")
 		}
-		if _, err := New(root, Config{BatchDepth: 65,
-			Gates: []GateDef{{Name: "g", Batch: batchEcho}}}); err == nil {
-			t.Fatal("depth 65 accepted")
+		if _, err := New(root, Config{BatchDepth: 2,
+			Gates: []GateDef{{Name: "a", Batch: batchEcho}, {Name: "b", Batch: batchEcho}}}); err == nil {
+			t.Fatal("pool with two Batch defs accepted")
 		}
-		p, err := New(root, Config{
-			Gates: []GateDef{{Name: "g", Entry: echoGate}}})
+		for _, depth := range []int{0, 65} {
+			if _, err := New(root, Config{BatchDepth: depth,
+				Gates: []GateDef{{Name: "g", Batch: batchEcho}}}); err == nil {
+				t.Fatalf("depth %d accepted", depth)
+			}
+		}
+		p, err := New(root, Config{BatchDepth: 1,
+			Gates: []GateDef{{Name: "g", Batch: batchEcho}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,8 +577,11 @@ func TestBatchPoolConfigRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.CallBatch(root, 0, -1, 0); !errors.Is(err, ErrNotBatched) {
-			t.Fatalf("CallBatch on classic pool: %v", err)
+		if _, err := l.CallBatch(root, 0, -1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.CallBatch(root, 0, -1, 0); err == nil {
+			t.Fatal("second CallBatch on one lease accepted")
 		}
 		l.Release()
 	})

@@ -7,16 +7,19 @@
 // arguments from one caller may become visible to another" (§3.3). The
 // pool addresses both by partitioning the hot shared structure:
 //
-//   - N slots, each owning a private argument tag and one long-lived
-//     recycled gate per configured entry point. Callers leased different
-//     slots never share argument memory at all.
+//   - N slots, each owning a private argument tag, one long-lived worker
+//     gate draining a ring of argument blocks in that tag (batch.go), and
+//     one long-lived recycled gate per nested entry point. Callers bound
+//     to different slots never share argument memory at all.
 //   - Sharded dispatch: a principal hashes (FNV-1a) to a home slot, so a
 //     returning principal reuses the slot still warm with its own
-//     residue. When the home slot is busy, dispatch steals an idle slot
-//     rather than queueing.
+//     residue. A lease binds only to a free slot — one whose worker has
+//     nothing waiting and nothing running — preferring a slot warm with
+//     the principal, then its home, then any; when none is free it waits
+//     in one pool-wide FIFO queue for the first slot to free up.
 //   - Inter-principal scrubbing: when a slot passes between principals,
-//     the pool zeroes the slot's argument block before the new principal
-//     can observe it, closing the §3.3 residue channel for argument
+//     the pool zeroes the slot's argument blocks before the new principal
+//     can observe them, closing the §3.3 residue channel for argument
 //     memory. (A gate's sthread-private heap still persists — the PAM
 //     scratch lesson of §5.2 — which is why dispatch prefers principal
 //     affinity in the first place.)
@@ -30,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,8 +59,8 @@ const DefaultArgSize = 1024
 
 // GateDef names one recycled entry point every slot instantiates. The
 // slot's argument tag is added read-write to SC, so each gate instance can
-// reach exactly its own slot's argument block. The block's layout is the
-// pool's Schema (every gate of a slot shares one block, so the schema
+// reach exactly its own slot's argument blocks. The block's layout is the
+// pool's Schema (every gate of a slot shares one layout, so the schema
 // lives on the Config, not per gate); entries read and write it through
 // the schema's typed field handles.
 type GateDef struct {
@@ -65,11 +69,10 @@ type GateDef struct {
 	Entry   sthread.GateFunc
 	Trusted vm.Addr
 
-	// Batch, when set, makes this def the slot's ring-draining worker in a
-	// batched pool (Config.BatchDepth > 0): the gate loops run-to-completion
-	// over published ring entries instead of serving one Call at a time.
-	// Exactly one def of a batched pool sets it; Entry is ignored for that
-	// def. See batch.go.
+	// Batch makes this def the slot's worker: the gate loops
+	// run-to-completion over the entries published to the slot's ring
+	// (see batch.go). Exactly one def sets it; every other def is a
+	// nested gate entered through Lease.Call at Entry.
 	Batch sthread.BatchFunc
 }
 
@@ -78,13 +81,13 @@ type Config struct {
 	Name     string // diagnostic prefix for gate sthread names
 	Slots    int    // initial slot count (default 1)
 	MaxSlots int    // Resize ceiling (default max(Slots, 64))
-	ArgSize  int    // bytes of per-slot argument block (default DefaultArgSize)
+	ArgSize  int    // bytes of argument block per ring entry (default DefaultArgSize)
 	Gates    []GateDef
 
-	// Schema, when set, is the declarative layout of every slot's
-	// argument block: the block size (and so the inter-principal scrub
-	// footprint) derives from it, superseding ArgSize. The serve runtime
-	// always populates it; raw pools may size the block by hand.
+	// Schema, when set, is the declarative layout of every argument
+	// block: the block size (and so the inter-principal scrub footprint)
+	// derives from it, superseding ArgSize. The serve runtime always
+	// populates it; raw pools may size the block by hand.
 	Schema *gateabi.Schema
 
 	// NoScrub disables inter-principal argument scrubbing, reproducing
@@ -93,30 +96,24 @@ type Config struct {
 	// never be set in servers handling multiple principals.
 	NoScrub bool
 
-	// BatchDepth, when positive, puts the pool in batched dataplane mode:
-	// each slot's argument arena becomes a ring of BatchDepth schema-sized
-	// entry blocks drained run-to-completion by the def with Batch set,
-	// and scrubbing moves from per-call to per-principal-switch. Capped at
-	// 64 (the dirty-position bitmask). Zero keeps the classic one-call-
-	// per-wakeup protocol.
+	// BatchDepth is the number of schema-sized entry blocks in each
+	// slot's ring, 1 to 64. The pool admits at most Slots×BatchDepth
+	// outstanding leases; Acquire blocks beyond that.
 	BatchDepth int
 }
 
-// slot is one shard: an argument tag, its preallocated block, and a
-// long-lived recycled gate per GateDef.
+// slot is one shard: an argument tag holding the slot's ring, the
+// worker gate draining it, and a long-lived recycled gate per nested
+// GateDef.
 type slot struct {
 	index   int
 	argTag  tags.Tag
 	argBase vm.Addr
 	gates   map[string]*sthread.Recycled
+	br      *slotRing
 
-	busy      bool
-	retiring  bool   // close when released (pool shrank past this slot)
-	principal string // last principal leased; "" before first lease
-	waiters   int    // callers blocked with this slot as their home
-
-	// br is the slot's ring state in batched mode, nil in classic mode.
-	br *slotRing
+	retiring bool // close when the ring drains (pool shrank past this slot)
+	waiters  int  // Acquire callers blocked with this slot as their home
 
 	// invocations is atomic so Lease.Call stays off the pool lock — it
 	// sits on the per-request hot path.
@@ -124,7 +121,7 @@ type slot struct {
 	// Counters below are read and written under the pool lock.
 	scrubs        uint64
 	scrubsSkipped uint64 // same-principal consecutive entries that skipped the scrub
-	steals        uint64 // leases granted here to principals homed elsewhere
+	steals        uint64 // leases bound here for principals homed elsewhere
 	replaced      uint64 // dead gates replaced by the liveness probe
 }
 
@@ -136,12 +133,16 @@ type Pool struct {
 
 	mu       sync.Mutex
 	freed    *sync.Cond // signaled whenever a lease is released
-	retired  *sync.Cond // broadcast whenever a ring's recycle cursor advances
+	retired  *sync.Cond // broadcast whenever a ring's recycle cursor may advance
 	slots    []*slot
 	draining bool
 	closed   bool
 
-	// Batched mode plumbing, fixed at New.
+	// queue holds unbound leases in acquisition order; leases counts
+	// every lease acquired and not yet released, bound or not.
+	queue  []*Lease
+	leases int
+
 	batchDef  GateDef // the def with Batch set
 	entrySize int     // ArgSize rounded up to 8
 
@@ -155,31 +156,39 @@ type Pool struct {
 	replaced      uint64
 	grown         uint64
 	shrunk        uint64
-	migrations    uint64 // queued entries moved to an idle slot's ring
 }
 
-// Lease is exclusive use of one slot, from Acquire until Release. The
-// holder (and sthreads it creates) may read and write the slot's argument
-// block and invoke the slot's gates.
+// Lease is one session's claim on a slot, from Acquire until Release. A
+// lease is bound when it holds an entry in a slot's ring: at Acquire if a
+// ring was free, otherwise once a ring takes it from the pool queue after
+// CallBatch commits it. Slot, ArgTag, Arg, Scrubbed and Stolen describe
+// the binding and are valid only once it exists; a bound lease never
+// moves. The holder (and sthreads it creates) may read and write the
+// entry's argument block and invoke the slot's nested gates.
 type Lease struct {
 	Principal string
-	Slot      int      // slot index at acquisition
+	Slot      int      // slot index
 	ArgTag    tags.Tag // grant this to the sthread that fills the block
-	Arg       vm.Addr  // base of the slot's argument block
+	Arg       vm.Addr  // base of the lease's ring entry block
 	Scrubbed  bool     // the block was zeroed because the principal changed
-	Stolen    bool     // dispatched off the home slot
+	Stolen    bool     // bound off the home slot
 
 	pool *Pool
-	s    *slot
-	done bool
+	s    *slot  // nil while the lease waits unbound in the pool queue
+	seq  uint64 // the lease's ring entry on s
 
-	// Batched-mode binding. seq identifies the lease's ring entry on s;
-	// migration (work stealing of undispatched entries) may re-point the
-	// whole binding — s, seq, Slot, Arg, ArgTag — at another slot under
-	// the pool lock, setting rebound so the awaiting producer re-reads it.
-	batch   bool
-	seq     uint64
-	rebound bool
+	ready chan struct{} // closed when an unbound lease leaves the queue
+	err   error         // why an unbound lease left the queue unbound
+
+	committed bool // CallBatch ran
+	consumed  bool // the worker (or a dead-worker release) retired the entry
+	done      bool // Release ran
+
+	// The commit's demux words and descriptor grant, applied at dispatch.
+	connID uint64
+	fd     int
+	fdPerm kernel.FDPerm
+	caller *kernel.Task
 }
 
 // New builds a pool on root: root creates every slot's tag and gates, so
@@ -188,6 +197,9 @@ type Lease struct {
 func New(root *sthread.Sthread, cfg Config) (*Pool, error) {
 	if len(cfg.Gates) == 0 {
 		return nil, errors.New("gatepool: config needs at least one GateDef")
+	}
+	if cfg.BatchDepth < 1 || cfg.BatchDepth > 64 {
+		return nil, fmt.Errorf("gatepool: BatchDepth %d out of range 1..64", cfg.BatchDepth)
 	}
 	if cfg.Slots <= 0 {
 		cfg.Slots = 1
@@ -209,20 +221,15 @@ func New(root *sthread.Sthread, cfg Config) (*Pool, error) {
 	}
 	p := &Pool{root: root, cfg: cfg}
 	p.entrySize = (cfg.ArgSize + 7) &^ 7
-	if cfg.BatchDepth > 0 {
-		if cfg.BatchDepth > 64 {
-			return nil, fmt.Errorf("gatepool: BatchDepth %d exceeds 64", cfg.BatchDepth)
+	workers := 0
+	for _, def := range cfg.Gates {
+		if def.Batch != nil {
+			p.batchDef = def
+			workers++
 		}
-		var workers int
-		for _, def := range cfg.Gates {
-			if def.Batch != nil {
-				p.batchDef = def
-				workers++
-			}
-		}
-		if workers != 1 {
-			return nil, fmt.Errorf("gatepool: batched pool needs exactly one GateDef with Batch set, got %d", workers)
-		}
+	}
+	if workers != 1 {
+		return nil, fmt.Errorf("gatepool: pool needs exactly one GateDef with Batch set, got %d", workers)
 	}
 	p.freed = sync.NewCond(&p.mu)
 	p.retired = sync.NewCond(&p.mu)
@@ -240,21 +247,16 @@ func New(root *sthread.Sthread, cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// newSlot allocates one shard: a fresh tag, an argument block inside it,
-// and one recycled gate per def with the tag added read-write.
+// newSlot allocates one shard: a fresh tag, the ring arena inside it
+// (control words, per-entry headers, BatchDepth schema-sized entry
+// blocks), and one gate per def with the tag added read-write.
 func (p *Pool) newSlot(index int) (*slot, error) {
 	root := p.root
 	argTag, err := root.App().Tags.TagNew(root.Task)
 	if err != nil {
 		return nil, err
 	}
-	size := p.cfg.ArgSize
-	if p.cfg.BatchDepth > 0 {
-		// The arena is the whole ring: control words, per-entry headers,
-		// and BatchDepth schema-sized entry blocks.
-		size = sthread.BatchRingBytes(p.cfg.BatchDepth, p.entrySize)
-	}
-	argBase, err := root.Smalloc(argTag, size)
+	argBase, err := root.Smalloc(argTag, sthread.BatchRingBytes(p.cfg.BatchDepth, p.entrySize))
 	if err != nil {
 		root.App().Tags.TagDelete(argTag)
 		return nil, err
@@ -264,7 +266,7 @@ func (p *Pool) newSlot(index int) (*slot, error) {
 	for _, def := range p.cfg.Gates {
 		var gate *sthread.Recycled
 		var err error
-		if p.cfg.BatchDepth > 0 && def.Batch != nil {
+		if def.Batch != nil {
 			gate, err = p.newBatchGate(s, def)
 		} else {
 			gate, err = p.newGate(s, def)
@@ -281,7 +283,8 @@ func (p *Pool) newSlot(index int) (*slot, error) {
 	return s, nil
 }
 
-func (p *Pool) newGate(s *slot, def GateDef) (*sthread.Recycled, error) {
+// gateSC is a def's policy plus read-write access to the slot's tag.
+func gateSC(s *slot, def GateDef) (*policy.SC, error) {
 	sc := def.SC
 	if sc == nil {
 		sc = policy.New()
@@ -290,18 +293,24 @@ func (p *Pool) newGate(s *slot, def GateDef) (*sthread.Recycled, error) {
 	if err := eff.MemAdd(s.argTag, vm.PermRW); err != nil {
 		return nil, err
 	}
+	return eff, nil
+}
+
+// newGate builds one nested gate. Nested gates run inline on the calling
+// worker's goroutine: a classic Call is synchronous either way, so the
+// inline mode observes identical semantics while skipping the two futex
+// handoffs per invocation.
+func (p *Pool) newGate(s *slot, def GateDef) (*sthread.Recycled, error) {
+	eff, err := gateSC(s, def)
+	if err != nil {
+		return nil, err
+	}
 	name := fmt.Sprintf("%s/%s-%d", p.cfg.Name, def.Name, s.index)
 	gate, err := p.root.NewRecycled(name, eff, def.Entry, def.Trusted)
 	if err != nil {
 		return nil, err
 	}
-	if p.cfg.BatchDepth > 0 {
-		// A batched pool's nested classic gates run-to-completion on the
-		// caller's goroutine: a classic Call is synchronous either way,
-		// so the inline mode observes identical semantics while skipping
-		// the two futex handoffs per invocation.
-		gate.SetInlineCalls(true)
-	}
+	gate.SetInlineCalls(true)
 	return gate, nil
 }
 
@@ -313,48 +322,29 @@ func homeFor(principal string, n int) int {
 	return int(h.Sum64() % uint64(n))
 }
 
-// Acquire leases a slot for principal, blocking while every eligible slot
-// is busy. Dispatch prefers the principal's home slot (shard affinity);
-// when the home slot is held it steals another idle slot, preferring one
-// this principal used before. The leased slot's gates are liveness-probed
-// and replaced if dead, and the argument block is scrubbed whenever the
-// slot changes hands between principals.
+// Acquire leases a slot for principal. It binds the lease to a free ring
+// when one exists — warm with this principal first, then the principal's
+// home slot, then any — and otherwise returns the lease unbound, queued
+// in the pool until CallBatch commits it and a ring frees. It blocks only
+// while Slots×BatchDepth leases are outstanding.
 func (p *Pool) Acquire(principal string) (*Lease, error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	waitingOn := -1 // home slot index currently charged with our wait
+	defer func() { p.unchargeWait(waitingOn) }()
 	for {
 		if p.closed {
-			p.unchargeWait(waitingOn)
-			p.mu.Unlock()
 			return nil, ErrClosed
 		}
 		if p.draining {
-			p.unchargeWait(waitingOn)
-			p.mu.Unlock()
 			return nil, ErrDraining
 		}
-		var s *slot
-		var stolen bool
-		if p.cfg.BatchDepth > 0 {
-			s, stolen = p.selectBatchLocked(principal)
-		} else {
-			s, stolen = p.selectLocked(principal)
+		if p.leases < p.liveCountLocked()*p.cfg.BatchDepth {
+			break
 		}
-		if s != nil {
-			p.unchargeWait(waitingOn)
-			var lease *Lease
-			var err error
-			if p.cfg.BatchDepth > 0 {
-				lease, err = p.leaseBatchLocked(s, principal, stolen)
-			} else {
-				lease, err = p.leaseLocked(s, principal, stolen)
-			}
-			p.mu.Unlock()
-			return lease, err
-		}
-		// Every eligible slot is busy: block until a release, charging
-		// the wait to the principal's home slot so Stats can show where
-		// the queueing is.
+		// The pool is at capacity: block until a release, charging the
+		// wait to the principal's home slot so Stats can show where the
+		// queueing is.
 		if waitingOn == -1 {
 			p.waits++
 			if n := p.liveCountLocked(); n > 0 {
@@ -366,6 +356,18 @@ func (p *Pool) Acquire(principal string) (*Lease, error) {
 		}
 		p.freed.Wait()
 	}
+	l := &Lease{Principal: principal, pool: p}
+	if s, stolen := p.freeRingLocked(principal); s != nil {
+		if err := p.bindLocked(l, s, stolen); err != nil {
+			return nil, err
+		}
+	} else {
+		l.ready = make(chan struct{})
+		p.queue = append(p.queue, l)
+	}
+	p.leases++
+	p.acquires++
+	return l, nil
 }
 
 // unchargeWait drops the queue-depth charge taken while blocking.
@@ -402,152 +404,61 @@ func (p *Pool) liveSlotLocked(i int) *slot {
 	return nil
 }
 
-// selectLocked picks a free slot for principal, or nil if all are busy.
-// The bool reports whether the pick was a steal (not the home slot).
-func (p *Pool) selectLocked(principal string) (*slot, bool) {
-	n := p.liveCountLocked()
-	if n == 0 {
-		return nil, false
+// Gate returns the bound slot's recycled gate with the given name, or nil
+// (also for an unbound lease).
+func (l *Lease) Gate(name string) *sthread.Recycled {
+	if l.s == nil {
+		return nil
 	}
-	home := p.liveSlotLocked(homeFor(principal, n))
-	if home != nil && !home.busy {
-		return home, false
-	}
-	// Steal: prefer an idle slot this principal already warmed, so the
-	// steal costs no scrub; otherwise any idle slot.
-	var idle *slot
-	for _, s := range p.slots {
-		if s.retiring || s.busy || s == home {
-			continue
-		}
-		if s.principal == principal {
-			return s, true
-		}
-		if idle == nil {
-			idle = s
-		}
-	}
-	if idle != nil {
-		return idle, true
-	}
-	return nil, false
+	return l.s.gates[name]
 }
 
-// leaseLocked marks s busy for principal, probing gate liveness and
-// scrubbing the argument block on a principal change.
-func (p *Pool) leaseLocked(s *slot, principal string, stolen bool) (*Lease, error) {
-	// Liveness probe: replace any gate whose sthread died (its entry
-	// faulted on some earlier invocation).
-	for _, def := range p.cfg.Gates {
-		if g := s.gates[def.Name]; g != nil {
-			if g.Alive() {
-				continue
-			}
-			g.Close() // retire the dead gate's control tag
-		}
-		gate, err := p.newGate(s, def)
-		if err != nil {
-			return nil, fmt.Errorf("gatepool: replacing dead gate %q: %w", def.Name, err)
-		}
-		s.gates[def.Name] = gate
-		s.replaced++
-		p.replaced++
-	}
-
-	scrubbed := false
-	if s.principal != principal {
-		if !p.cfg.NoScrub {
-			if err := p.root.Zero(s.argBase, p.cfg.ArgSize); err != nil {
-				return nil, fmt.Errorf("gatepool: scrubbing slot %d: %w", s.index, err)
-			}
-			scrubbed = true
-			s.scrubs++
-			p.scrubs++
-		}
-		s.principal = principal
-	} else if s.principal == principal && principal != "" {
-		p.affinityHits++
-	}
-	if stolen {
-		s.steals++
-		p.steals++
-	}
-	s.busy = true
-	p.acquires++
-	return &Lease{
-		Principal: principal,
-		Slot:      s.index,
-		ArgTag:    s.argTag,
-		Arg:       s.argBase,
-		Scrubbed:  scrubbed,
-		Stolen:    stolen,
-		pool:      p,
-		s:         s,
-	}, nil
-}
-
-// Gate returns the leased slot's recycled gate with the given name, or nil.
-func (l *Lease) Gate(name string) *sthread.Recycled { return l.s.gates[name] }
-
-// Call invokes the leased slot's named gate on behalf of caller, counting
-// the invocation against the slot.
+// Call invokes the bound slot's named nested gate on behalf of caller,
+// counting the invocation against the slot.
 func (l *Lease) Call(name string, caller *sthread.Sthread, arg vm.Addr) (vm.Addr, error) {
-	return l.invoke(name, func(g *sthread.Recycled) (vm.Addr, error) {
-		return g.Call(caller, arg)
-	})
-}
-
-// CallFD is Call with a per-invocation argument descriptor (see
-// sthread.Recycled.CallFD).
-func (l *Lease) CallFD(name string, caller *sthread.Sthread, arg vm.Addr, fd int, perm kernel.FDPerm) (vm.Addr, error) {
-	return l.invoke(name, func(g *sthread.Recycled) (vm.Addr, error) {
-		return g.CallFD(caller, arg, fd, perm)
-	})
-}
-
-func (l *Lease) invoke(name string, call func(*sthread.Recycled) (vm.Addr, error)) (vm.Addr, error) {
-	g := l.s.gates[name]
+	g := l.Gate(name)
 	if g == nil {
 		return 0, fmt.Errorf("%w: %q", ErrNoGate, name)
 	}
 	l.s.invocations.Add(1)
-	return call(g)
+	return g.Call(caller, arg)
 }
 
-// Release returns the slot to the pool. Releasing twice is a no-op. If the
-// pool shrank while the lease was held, the slot is closed instead of
-// returned.
+// Release ends the lease. Releasing twice is a no-op. A lease released
+// before CallBatch gives its reservation back at once; a retiring slot is
+// closed by the release that empties its ring.
 func (l *Lease) Release() {
 	p := l.pool
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if l.done {
-		p.mu.Unlock()
 		return
 	}
 	l.done = true
-	if l.batch {
-		p.releaseBatchLocked(l)
-	} else {
-		l.s.busy = false
-		if l.s.retiring {
-			p.removeSlotLocked(l.s)
+	p.leases--
+	if l.s != nil {
+		p.releaseRingLocked(l)
+	} else if i := slices.Index(p.queue, l); i >= 0 {
+		p.queue = slices.Delete(p.queue, i, i+1)
+		if l.committed {
+			l.err = errors.New("gatepool: lease released while waiting for a ring")
+			close(l.ready)
 		}
 	}
-	// One slot freed: one waiter can proceed. Drain also waits on freed,
-	// so wake it too once the pool falls idle.
+	// One lease freed: one Acquire can proceed. Drain also waits on
+	// freed, so wake it too.
 	p.freed.Signal()
 	if p.draining {
 		p.freed.Broadcast()
 	}
-	p.mu.Unlock()
 }
 
 // Resize grows or shrinks the pool to n slots. Growth creates fresh slots
 // immediately; shrinking retires the highest-indexed slots, closing idle
-// ones now and busy ones when their leases are released. A Resize during
-// a Drain fails with ErrDraining: Drain's contract is that the pool is
-// quiescent when it returns, and slots admitted while it blocks (or
-// between Drain and Undrain) would arrive live past that barrier.
+// ones now and busy ones when their rings drain. A Resize during a Drain
+// fails with ErrDraining: Drain's contract is that the pool is quiescent
+// when it returns, and slots admitted while it blocks (or between Drain
+// and Undrain) would arrive live past that barrier.
 func (p *Pool) Resize(n int) error {
 	if n < 1 || n > p.cfg.MaxSlots {
 		return fmt.Errorf("%w: %d (max %d)", ErrBadSize, n, p.cfg.MaxSlots)
@@ -584,6 +495,7 @@ func (p *Pool) Resize(n int) error {
 		}
 		p.slots = append(p.slots, s)
 		p.grown++
+		p.bindWaitersLocked()
 	}
 	for live := p.liveCountLocked(); live > n; live-- {
 		// Retire the last live slot.
@@ -595,7 +507,7 @@ func (p *Pool) Resize(n int) error {
 		}
 		victim.retiring = true
 		p.shrunk++
-		if !p.slotBusyLocked(victim) {
+		if victim.br.inflightLocked() == 0 {
 			p.removeSlotLocked(victim)
 		}
 	}
@@ -615,8 +527,8 @@ func (p *Pool) nextIndexLocked() int {
 	return max + 1
 }
 
-// removeSlotLocked closes a retiring slot's gates, frees its argument
-// block, retires its tag, and drops it from the slice.
+// removeSlotLocked closes a retiring slot's gates, frees its arena,
+// retires its tag, and drops it from the slice.
 func (p *Pool) removeSlotLocked(victim *slot) {
 	for i, s := range p.slots {
 		if s == victim {
@@ -654,32 +566,15 @@ func (p *Pool) MaxSlots() int { return p.cfg.MaxSlots }
 // Drain stops new acquisitions and blocks until every lease has been
 // released: the pool is quiescent when it returns. Acquire fails with
 // ErrDraining while a drain is in progress. Undrain re-opens the pool.
+// Leases already acquired still bind and run.
 func (p *Pool) Drain() {
 	p.mu.Lock()
 	p.draining = true
 	p.freed.Broadcast() // wake blocked Acquires so they observe the drain
-	for {
-		busy := 0
-		for _, s := range p.slots {
-			if p.slotBusyLocked(s) {
-				busy++
-			}
-		}
-		if busy == 0 {
-			break
-		}
+	for p.leases > 0 {
 		p.freed.Wait()
 	}
 	p.mu.Unlock()
-}
-
-// slotBusyLocked reports whether a slot still has work in flight: a held
-// lease in classic mode, any unrecycled ring entry in batched mode.
-func (p *Pool) slotBusyLocked(s *slot) bool {
-	if s.br != nil {
-		return s.br.inflightLocked() > 0
-	}
-	return s.busy
 }
 
 // Undrain re-admits acquisitions after a Drain.
@@ -711,20 +606,18 @@ func (p *Pool) Close() error {
 // GateStats is one slot's snapshot.
 type GateStats struct {
 	Slot        int
-	Busy        bool
+	Busy        bool // the ring holds an entry not yet retired
 	Retiring    bool
-	Principal   string // last principal leased (classic) / ring residue owner (batched)
-	QueueDepth  int    // callers currently blocked with this home slot
+	Principal   string // principal of the most recently dispatched entry
+	QueueDepth  int    // Acquire callers currently blocked with this home slot
 	Invocations uint64
 	Scrubs      uint64
 	// ScrubsSkipped counts consecutive same-principal entries that were
-	// dispatched without a scrub — the batched mode's principal-switch
-	// elision. Always zero in classic mode, where every switch scrubs and
-	// same-principal reuse never dirties in between.
+	// dispatched without a scrub — the principal-switch elision.
 	ScrubsSkipped uint64
 	Steals        uint64
 	Replaced      uint64
-	// Inflight is the batched slot's unrecycled entry count (0 classic).
+	// Inflight is the ring's unrecycled entry count.
 	Inflight int
 }
 
@@ -739,29 +632,25 @@ type Stats struct {
 	AffinityHits uint64
 	Steals       uint64
 	Waits        uint64
-	// Scrubs counts blocks actually zeroed between principals;
-	// ScrubsSkipped counts the dispatches that proved a scrub unnecessary
-	// (same principal back to back on one slot's ring).
+	// Scrubs counts dispatches and reservations that zeroed another
+	// principal's bytes; ScrubsSkipped counts the dispatches that proved
+	// a scrub unnecessary (same principal back to back on one ring).
 	Scrubs        uint64
 	ScrubsSkipped uint64
 	Replaced      uint64
 	Grown         uint64
 	Shrunk        uint64
 
-	// Batched dataplane counters (zero in classic mode): the configured
-	// ring depth, the number of run-to-completion sweeps the workers made,
-	// and the entries those sweeps drained — Batches < BatchEntries is the
-	// amortization working.
+	// Ring counters: the configured depth, the number of
+	// run-to-completion sweeps the workers made, and the entries those
+	// sweeps drained — Batches < BatchEntries is the amortization
+	// working.
 	RingDepth    int
 	Batches      uint64
 	BatchEntries uint64
-	// Migrations counts committed-but-undispatched entries a draining
-	// worker stole from a stuck sibling's ring — the liveness escape
-	// hatch that keeps one blocked invocation from wedging queued work.
-	Migrations uint64
-	// Backlog is the instantaneous count of committed entries no worker
-	// has dispatched yet — the batched analogue of callers blocked in
-	// Acquire, which ring admission mostly eliminates.
+	// Backlog is the instantaneous count of committed leases no worker
+	// has dispatched yet: those waiting in the pool queue for a free ring
+	// plus those published to a ring whose worker has not reached them.
 	Backlog int
 
 	Gates []GateStats
@@ -786,33 +675,34 @@ func (p *Pool) Stats() Stats {
 		Grown:         p.grown,
 		Shrunk:        p.shrunk,
 		RingDepth:     p.cfg.BatchDepth,
-		Migrations:    p.migrations,
+	}
+	for _, l := range p.queue {
+		if l.committed {
+			st.Backlog++
+		}
 	}
 	for _, s := range p.slots {
-		busy := p.slotBusyLocked(s)
-		if busy {
+		br := s.br
+		inflight := br.inflightLocked()
+		if inflight > 0 {
 			st.Busy++
 		}
-		gs := GateStats{
+		st.Batches += br.ring.Batches()
+		st.BatchEntries += br.ring.Entries()
+		st.Backlog += int(br.pubSeq - br.hookSeq)
+		st.Gates = append(st.Gates, GateStats{
 			Slot:          s.index,
-			Busy:          busy,
+			Busy:          inflight > 0,
 			Retiring:      s.retiring,
-			Principal:     s.principal,
+			Principal:     br.lastPrincipal,
 			QueueDepth:    s.waiters,
 			Invocations:   s.invocations.Load(),
 			Scrubs:        s.scrubs,
 			ScrubsSkipped: s.scrubsSkipped,
 			Steals:        s.steals,
 			Replaced:      s.replaced,
-		}
-		if s.br != nil {
-			gs.Principal = s.br.lastPrincipal
-			gs.Inflight = s.br.inflightLocked()
-			st.Batches += s.br.ring.Batches()
-			st.BatchEntries += s.br.ring.Entries()
-			st.Backlog += int(s.br.pubSeq - s.br.hookSeq)
-		}
-		st.Gates = append(st.Gates, gs)
+			Inflight:      inflight,
+		})
 	}
 	return st
 }

@@ -47,13 +47,19 @@ func faultyGate(g *sthread.Sthread, arg, _ vm.Addr) vm.Addr {
 	return echoGate(g, arg, 0)
 }
 
-func newTestPool(t *testing.T, root *sthread.Sthread, slots int, entry sthread.GateFunc, noScrub bool) *Pool {
+// newTestPool builds a pool whose rings run batchEcho and whose one
+// nested gate, "gate", runs nested.
+func newTestPool(t *testing.T, root *sthread.Sthread, slots, depth int, nested sthread.GateFunc, noScrub bool) *Pool {
 	t.Helper()
 	p, err := New(root, Config{
-		Name:    "test",
-		Slots:   slots,
-		Gates:   []GateDef{{Name: "gate", SC: policy.New(), Entry: entry}},
-		NoScrub: noScrub,
+		Name:       "test",
+		Slots:      slots,
+		BatchDepth: depth,
+		NoScrub:    noScrub,
+		Gates: []GateDef{
+			{Name: "worker", SC: policy.New(), Batch: batchEcho},
+			{Name: "gate", SC: policy.New(), Entry: nested},
+		},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -61,9 +67,11 @@ func newTestPool(t *testing.T, root *sthread.Sthread, slots int, entry sthread.G
 	return p
 }
 
+// TestPoolCallRoundTrip: a bound lease's nested gate reaches the lease's
+// own entry block.
 func TestPoolCallRoundTrip(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 2, echoGate, false)
+		p := newTestPool(t, root, 2, 4, echoGate, false)
 		defer p.Close()
 		l, err := p.Acquire("alice")
 		if err != nil {
@@ -77,27 +85,31 @@ func TestPoolCallRoundTrip(t *testing.T) {
 		if got := root.Load64(l.Arg + 8); got != 42 {
 			t.Fatalf("gate echoed %d, want 42", got)
 		}
+		if _, err := l.Call("nope", root, l.Arg); err == nil {
+			t.Fatal("Call of an unknown gate succeeded")
+		}
 		l.Release()
 		st := p.Stats()
-		if st.Acquires != 1 || st.Slots != 2 {
+		if st.Acquires != 1 || st.Slots != 2 || st.Busy != 0 {
 			t.Fatalf("stats = %+v", st)
 		}
 	})
 }
 
-// TestPoolAffinity: a returning principal lands on the same slot, counted
-// as an affinity hit, with no scrub after the first lease.
+// TestPoolAffinity: a returning principal lands on the same slot and the
+// same warm position, counted as an affinity hit, with no scrub and no
+// steal.
 func TestPoolAffinity(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 4, echoGate, false)
+		p := newTestPool(t, root, 4, 1, echoGate, false)
 		defer p.Close()
 		first, err := p.Acquire("alice")
 		if err != nil {
 			t.Fatal(err)
 		}
 		slot := first.Slot
-		if !first.Scrubbed {
-			t.Error("first lease of a slot should scrub (principal changed from none)")
+		if first.Scrubbed || first.Stolen {
+			t.Errorf("first lease on a clean home slot scrubbed=%v stolen=%v", first.Scrubbed, first.Stolen)
 		}
 		first.Release()
 		for i := 0; i < 3; i++ {
@@ -111,6 +123,10 @@ func TestPoolAffinity(t *testing.T) {
 			if l.Scrubbed || l.Stolen {
 				t.Fatalf("affinity lease scrubbed=%v stolen=%v", l.Scrubbed, l.Stolen)
 			}
+			root.Store64(l.Arg, uint64(i))
+			if _, err := l.CallBatch(root, 0, -1, 0); err != nil {
+				t.Fatal(err)
+			}
 			l.Release()
 		}
 		st := p.Stats()
@@ -120,27 +136,24 @@ func TestPoolAffinity(t *testing.T) {
 	})
 }
 
-// TestPoolSlotsShareNoArgumentMemory: each slot's argument block lives in
-// its own tag, so a gate leased to one principal cannot read another
-// slot's argument block even while both are live.
+// TestPoolSlotsShareNoArgumentMemory: each slot's ring lives in its own
+// tag, so a gate bound to one principal cannot read another slot's
+// argument block even while both are live.
 func TestPoolSlotsShareNoArgumentMemory(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 2, probeGate, false)
+		p := newTestPool(t, root, 2, 4, probeGate, false)
 		defer p.Close()
 		a, err := p.Acquire("alice")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b *Lease
-		for {
-			// Find the other slot regardless of where alice hashed.
-			if b, err = p.Acquire(fmt.Sprintf("bob-%d", a.Slot)); err != nil {
-				t.Fatal(err)
-			}
-			if b.Slot != a.Slot {
-				break
-			}
-			t.Fatal("two live leases on one slot")
+		// alice's reservation keeps her ring busy, so bob binds the other.
+		b, err := p.Acquire("bob")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Slot == a.Slot {
+			t.Fatal("two live reservations on one ring")
 		}
 		if a.ArgTag == b.ArgTag {
 			t.Fatalf("slots share argument tag %d", a.ArgTag)
@@ -161,8 +174,9 @@ func TestPoolSlotsShareNoArgumentMemory(t *testing.T) {
 }
 
 // TestPoolScrubBetweenPrincipals: the §3.3 residue channel. With
-// scrubbing, a principal leasing a slot another principal used sees only
-// zeroes; with NoScrub the stale argument bytes are still there.
+// scrubbing, a principal bound to the ring position another principal
+// used sees only zeroes; with NoScrub the stale argument bytes are still
+// there.
 func TestPoolScrubBetweenPrincipals(t *testing.T) {
 	const secret = 0x5EC12E7
 	for _, noScrub := range []bool{false, true} {
@@ -172,18 +186,24 @@ func TestPoolScrubBetweenPrincipals(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			withRoot(t, func(root *sthread.Sthread) {
-				p := newTestPool(t, root, 1, echoGate, noScrub)
+				p := newTestPool(t, root, 1, 1, echoGate, noScrub)
 				defer p.Close()
 				a, err := p.Acquire("alice")
 				if err != nil {
 					t.Fatal(err)
 				}
 				root.Store64(a.Arg+16, secret) // sensitive argument residue
+				if _, err := a.CallBatch(root, 0, -1, 0); err != nil {
+					t.Fatal(err)
+				}
 				a.Release()
 
 				b, err := p.Acquire("mallory")
 				if err != nil {
 					t.Fatal(err)
+				}
+				if b.Arg != a.Arg {
+					t.Fatalf("one-deep ring gave mallory %#x, alice had %#x", uint64(b.Arg), uint64(a.Arg))
 				}
 				got := root.Load64(b.Arg + 16)
 				if noScrub {
@@ -201,12 +221,13 @@ func TestPoolScrubBetweenPrincipals(t *testing.T) {
 	}
 }
 
-// TestPoolStealAndQueue: with the home slot held, a second lease for the
-// same principal steals an idle slot; with every slot held, Acquire blocks
-// and the wait is charged to the home slot's queue depth.
+// TestPoolStealAndQueue: with the home slot's ring reserved, a second
+// lease for the same principal steals the other free ring; with every
+// ring's capacity leased, Acquire blocks and the wait is charged to the
+// home slot's queue depth.
 func TestPoolStealAndQueue(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 2, echoGate, false)
+		p := newTestPool(t, root, 2, 1, echoGate, false)
 		defer p.Close()
 		first, err := p.Acquire("alice")
 		if err != nil {
@@ -240,11 +261,15 @@ func TestPoolStealAndQueue(t *testing.T) {
 				}
 				break
 			}
+			runtime.Gosched()
 		}
 		first.Release()
 		third := <-got
 		if third == nil {
 			t.Fatal("blocked acquire returned nil")
+		}
+		if third.Slot != first.Slot {
+			t.Fatalf("third lease bound slot %d, want the freed slot %d", third.Slot, first.Slot)
 		}
 		third.Release()
 		second.Release()
@@ -255,7 +280,7 @@ func TestPoolStealAndQueue(t *testing.T) {
 // busy slots only once their leases release.
 func TestPoolResize(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 1, echoGate, false)
+		p := newTestPool(t, root, 1, 1, echoGate, false)
 		defer p.Close()
 		if err := p.Resize(3); err != nil {
 			t.Fatal(err)
@@ -276,8 +301,8 @@ func TestPoolResize(t *testing.T) {
 		if err := p.Resize(1); err != nil {
 			t.Fatal(err)
 		}
-		if st := p.Stats(); st.Slots != 1 || st.Shrunk != 2 {
-			t.Fatalf("after shrink: slots=%d shrunk=%d", st.Slots, st.Shrunk)
+		if st := p.Stats(); st.Slots != 1 || st.Shrunk != 2 || len(st.Gates) != 3 {
+			t.Fatalf("after shrink: slots=%d shrunk=%d gates=%d", st.Slots, st.Shrunk, len(st.Gates))
 		}
 		for _, l := range leases {
 			l.Release()
@@ -291,8 +316,8 @@ func TestPoolResize(t *testing.T) {
 			t.Fatal(err)
 		}
 		root.Store64(l.Arg, 1)
-		if ret, err := l.Call("gate", root, l.Arg); err != nil || ret != 1 {
-			t.Fatalf("post-shrink call = %v, %v", ret, err)
+		if ret, err := l.CallBatch(root, 0, -1, 0); err != nil || ret != 1 {
+			t.Fatalf("post-shrink CallBatch = %v, %v", ret, err)
 		}
 		l.Release()
 	})
@@ -302,7 +327,7 @@ func TestPoolResize(t *testing.T) {
 // acquisitions until Undrain.
 func TestPoolDrainQuiesce(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 2, echoGate, false)
+		p := newTestPool(t, root, 2, 4, echoGate, false)
 		defer p.Close()
 		l, err := p.Acquire("alice")
 		if err != nil {
@@ -313,10 +338,8 @@ func TestPoolDrainQuiesce(t *testing.T) {
 			p.Drain()
 			close(drained)
 		}()
-		for {
-			if p.Stats().Draining {
-				break
-			}
+		for !p.Stats().Draining {
+			runtime.Gosched()
 		}
 		if _, err := p.Acquire("bob"); err != ErrDraining {
 			t.Fatalf("Acquire during drain = %v, want ErrDraining", err)
@@ -326,8 +349,16 @@ func TestPoolDrainQuiesce(t *testing.T) {
 			t.Fatal("drain completed with a lease outstanding")
 		default:
 		}
+		// A lease acquired before the drain still runs to completion.
+		root.Store64(l.Arg, 5)
+		if ret, err := l.CallBatch(root, 0, -1, 0); err != nil || ret != 5 {
+			t.Fatalf("CallBatch during drain = %v, %v", ret, err)
+		}
 		l.Release()
 		<-drained
+		if st := p.Stats(); st.Busy != 0 {
+			t.Fatalf("busy = %d after Drain returned", st.Busy)
+		}
 		p.Undrain()
 		l2, err := p.Acquire("bob")
 		if err != nil {
@@ -337,11 +368,11 @@ func TestPoolDrainQuiesce(t *testing.T) {
 	})
 }
 
-// TestPoolReplacesDeadGate: the liveness probe. A gate whose entry faults
-// dies; the next lease of its slot replaces it transparently.
+// TestPoolReplacesDeadGate: the liveness probe. A nested gate whose entry
+// faults dies; the next lease of its slot replaces it transparently.
 func TestPoolReplacesDeadGate(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 1, faultyGate, false)
+		p := newTestPool(t, root, 1, 2, faultyGate, false)
 		defer p.Close()
 		l, err := p.Acquire("alice")
 		if err != nil {
@@ -374,7 +405,7 @@ func TestPoolReplacesDeadGate(t *testing.T) {
 
 // TestPoolStress: many principals hammering a small pool from many
 // goroutines, with a resizer running underneath — the -race exercise for
-// the scheduler's locking.
+// the scheduler's locking, with leases both bound at Acquire and queued.
 func TestPoolStress(t *testing.T) {
 	const (
 		goroutines = 8
@@ -382,7 +413,7 @@ func TestPoolStress(t *testing.T) {
 		principals = 5
 	)
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 3, echoGate, false)
+		p := newTestPool(t, root, 3, 2, echoGate, false)
 
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -395,12 +426,17 @@ func TestPoolStress(t *testing.T) {
 						t.Errorf("acquire: %v", err)
 						return
 					}
-					root.Store64(l.Arg, uint64(i))
-					ret, err := l.Call("gate", root, l.Arg)
-					if err != nil || ret != 1 {
-						t.Errorf("call: %v, %v", ret, err)
-					} else if got := root.Load64(l.Arg + 8); got != uint64(i)+1 {
-						t.Errorf("goroutine %d iter %d: echo %d", g, i, got)
+					bound := l.Arg != 0
+					if bound {
+						root.Store64(l.Arg, uint64(i))
+					}
+					ret, err := l.CallBatch(root, 0, -1, 0)
+					if err != nil {
+						t.Errorf("CallBatch: %v", err)
+					} else if v := root.Load64(l.Arg); uint64(ret) != v || root.Load64(l.Arg+8) != v+1 {
+						t.Errorf("goroutine %d iter %d: ret %d, entry %d -> %d", g, i, ret, v, root.Load64(l.Arg+8))
+					} else if bound && v != uint64(i) {
+						t.Errorf("goroutine %d iter %d: worker saw %d", g, i, v)
 					}
 					l.Release()
 				}
@@ -422,6 +458,9 @@ func TestPoolStress(t *testing.T) {
 		st := p.Stats()
 		if st.Acquires != goroutines*iters {
 			t.Fatalf("acquires = %d, want %d", st.Acquires, goroutines*iters)
+		}
+		if st.Busy != 0 || st.Backlog != 0 {
+			t.Fatalf("busy=%d backlog=%d after every lease released", st.Busy, st.Backlog)
 		}
 		var invocations uint64
 		for _, g := range st.Gates {
@@ -448,7 +487,7 @@ func TestPoolStress(t *testing.T) {
 // with ErrDraining, and the slot count must be unchanged afterwards.
 func TestResizeDuringDrainRejected(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 2, echoGate, false)
+		p := newTestPool(t, root, 2, 4, echoGate, false)
 		defer p.Close()
 
 		// Hold a lease so Drain blocks at its barrier.

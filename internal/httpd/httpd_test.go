@@ -316,7 +316,9 @@ func TestMITMPrimitiveBudget(t *testing.T) {
 	app := sthread.Boot(k)
 	var srv *MITM
 	ready := make(chan struct{})
+	served := make(chan struct{})
 	go func() {
+		defer close(served)
 		app.Main(func(root *sthread.Sthread) {
 			var err error
 			srv, err = NewMITM(root, "/var/www", priv, false, Hooks{})
@@ -350,6 +352,9 @@ func TestMITMPrimitiveBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
+	// The client has its response before the server finishes counting;
+	// read the stats once ServeConn has returned.
+	<-served
 
 	if got := srv.Stats.SthreadsHS.Load(); got != 2 {
 		t.Fatalf("sthreads per request = %d, want 2 (Figure 3)", got)

@@ -8,10 +8,10 @@
 // admission control, conn-id demux — and this file contributes only what
 // is httpd's: the two gates each slot carries and their entry points.
 //
-//   - "worker": the unprivileged network-facing compartment. One
-//     invocation serves one connection; the connection's descriptor is
-//     passed as a per-invocation argument descriptor (CallFD) and revoked
-//     when the invocation completes.
+//   - "worker": the unprivileged network-facing compartment. One ring
+//     entry serves one connection; the connection's descriptor is granted
+//     to the worker when the entry dispatches and revoked when it
+//     completes.
 //   - "setup": the setup_session_key gate, holding the private-key tag.
 //
 // A connection's principal (its network address) shards it onto a home

@@ -9,10 +9,10 @@
 // admission control, and conn-id demux. This file contributes the four
 // gates each slot carries:
 //
-//   - "handler": the untrusted parser compartment. One invocation serves
-//     one session; the connection's descriptor arrives as a
-//     per-invocation argument descriptor (CallFD) and is revoked when the
-//     invocation completes. It holds nothing but the slot's argument tag.
+//   - "handler": the untrusted parser compartment. One ring entry serves
+//     one session; the connection's descriptor is granted to the handler
+//     when the entry dispatches and revoked when it completes. It holds
+//     nothing but the slot's argument tag.
 //   - "login", "stat", "retr": the Figure 1 callgates, recycled, holding
 //     the password tag (login) or the mail tag (stat/retr).
 //
@@ -107,12 +107,11 @@ func NewPooledConfig(root *sthread.Sthread, boxes []Mailbox, cfg PoolConfig, hoo
 		Import:      p.importP3,
 		Gates: []gatepool.GateDef{
 			{
-				Name:  "handler",
-				Entry: p.handlerEntry,
-				// The batched dataplane's explicit worker body: drain the
-				// slot ring run-to-completion, one session per entry,
-				// reusing the command reader across the whole batch
-				// instead of allocating one per connection.
+				Name: "handler",
+				// The worker body: drain the slot ring run-to-completion,
+				// one session per entry, reusing the command reader
+				// across the whole batch instead of allocating one per
+				// connection.
 				Batch: func(h *sthread.Sthread, b *sthread.Batch, _ vm.Addr) {
 					// Session scratch is pooled across sweeps, not
 					// allocated per sweep: a lightly loaded ring drains
@@ -185,7 +184,7 @@ const p3ExportVersion = 1
 // database and the mail store never ride a record: the importing runtime
 // reaches both through its own gates, and the wire sees only what the
 // handler compartment could already name.
-func exportP3(c *serve.Conn[p3PoolConn], _ []byte) []byte {
+func exportP3(c *serve.Conn[p3PoolConn]) []byte {
 	st := &c.State
 	var flags byte
 	if st.pos.Greeted {
@@ -249,15 +248,10 @@ func (p *PooledServer) importP3(c *serve.Conn[p3PoolConn], rec *serve.HandoffRec
 	return nil
 }
 
-// handlerEntry is the per-slot recycled client handler: one invocation
-// per session, running with the slot's argument tag and the
-// per-invocation connection descriptor — nothing else.
-func (p *PooledServer) handlerEntry(h *sthread.Sthread, arg, _ vm.Addr) vm.Addr {
-	return p.handlerServe(h, arg, newP3Session())
-}
-
-// handlerServe is one session against caller-owned scratch; the batched
-// body shares one p3Session across every entry in a sweep.
+// handlerServe is the per-slot client handler serving one session: it
+// runs with the slot's argument tag and the entry's connection
+// descriptor — nothing else — against caller-owned scratch, which the
+// worker body shares across every entry in a sweep.
 func (p *PooledServer) handlerServe(h *sthread.Sthread, arg vm.Addr, sess *p3Session) vm.Addr {
 	c := p.Lookup(h, arg)
 	if c == nil {

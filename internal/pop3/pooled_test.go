@@ -2,6 +2,7 @@ package pop3
 
 import (
 	"bufio"
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -226,6 +227,34 @@ func TestPooledHandlerCannotReachSecrets(t *testing.T) {
 		}
 		if mailErr == nil {
 			t.Fatal("pooled handler read the mail store")
+		}
+	})
+}
+
+// TestPooledHandoffCarriesNoPassword: a session handed off after PASS
+// exports its protocol position and uid, never the password — which the
+// handler's argument block still holds after login.
+func TestPooledHandoffCarriesNoPassword(t *testing.T) {
+	servePooled(t, 2, 1, Hooks{}, func(dial func() *popClient, srv *PooledServer, k *kernel.Kernel, app *sthread.App) {
+		c := dial()
+		defer c.conn.Close()
+		if resp := c.cmd(t, "USER alice"); !strings.HasPrefix(resp, "+OK") {
+			t.Fatalf("USER: %q", resp)
+		}
+		if resp := c.cmd(t, "PASS sesame"); !strings.HasPrefix(resp, "+OK") {
+			t.Fatalf("PASS: %q", resp)
+		}
+		rec, err := srv.HandoffPrincipal(c.conn.LocalAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.State) == 0 {
+			t.Fatal("record carries no session state")
+		}
+		for name, b := range map[string][]byte{"state": rec.State, "wire": rec.Marshal()} {
+			if bytes.Contains(b, []byte("sesame")) {
+				t.Fatalf("handoff %s carries the password: %q", name, b)
+			}
 		}
 	})
 }

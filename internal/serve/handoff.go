@@ -1,29 +1,23 @@
 // Live session handoff: the serve-runtime half of the cluster's rolling
 // drain. A draining runtime exports an in-flight principal's session as
-// a HandoffRecord — the slot's argument-block image plus the app's own
-// serialized state — and a peer runtime re-admits it with ResumeConnAs /
-// ResumeFlow, so the client never observes the move.
+// a HandoffRecord — the app's own serialized session state — and a peer
+// runtime re-admits it with ResumeConnAs / ResumeFlow, so the client
+// never observes the move.
 //
 // The trust argument, stated once and enforced everywhere below:
 //
 //   - A record crosses runtimes, so the importing side treats every byte
 //     of it as hostile input. The schema hash must match exactly (a
-//     typed *SchemaMismatchError refusal otherwise), the block image
-//     passes gateabi.CheckImage — the same bounds discipline applied to
-//     a compromised worker's writes — and the app's Import hook must
-//     bounds-check its own payload before trusting a field of it.
-//   - Secrets never ride a record. The exporting side serializes only
-//     what the argument block and the app's per-connection state already
-//     expose to the worker compartment; private keys, password
-//     databases, and other store-side material stay home — the importing
-//     runtime reaches them through its own gates, exactly as if the
-//     session had started there.
-//   - The block image is captured while the exporting worker is parked
-//     (the director guarantees protocol quiescence before asking), and
-//     before the interrupt that unwinds it — post-interrupt scribbles
-//     never leak into the record. The demux words are zeroed on export
-//     and must be zero on import: conn ids and descriptor numbers are
-//     runtime-local, and a forged one must never reach a slot.
+//     typed *SchemaMismatchError refusal otherwise), and the app's Import
+//     hook must bounds-check its own payload before trusting a field of
+//     it.
+//   - Secrets never ride a record. The argument block is not exported —
+//     after a login it can still hold the client's password — and the
+//     app's Export hook serializes only protocol position and state the
+//     importing side can re-validate; private keys, password databases,
+//     and other store-side material stay home — the importing runtime
+//     reaches them through its own gates, exactly as if the session had
+//     started there.
 //
 // The handoff/completion race is settled by a per-connection rendezvous
 // (Conn.hmu): either HandoffPrincipal marks the session first — then the
@@ -89,18 +83,15 @@ type HandoffRecord struct {
 	App        string // exporting app name; must equal the importer's
 	SchemaHash uint64 // exporting schema's layout hash; must match exactly
 	Principal  string // the session's principal key
-	Warm       bool   // the worker had dispatched; Block is a captured image
-	Block      []byte // argument-block image (demux words zeroed); nil when cold
 	State      []byte // App.Export payload; app-validated on import
 }
 
 // Wire caps. A record is client-session metadata, not bulk transfer;
 // anything past these bounds is malformed by construction.
 const (
-	handoffVersion      = 1
+	handoffVersion      = 2
 	maxHandoffApp       = 64
 	maxHandoffPrincipal = 256
-	maxHandoffBlock     = 1 << 20
 	maxHandoffState     = 64 << 10
 )
 
@@ -108,24 +99,17 @@ const (
 // validation before any schema question is even asked.
 var ErrBadHandoff = errors.New("serve: malformed handoff record")
 
-// Marshal serializes the record: a version byte, a flags byte, then
-// length-prefixed fields in fixed order, little-endian.
+// Marshal serializes the record: a version byte, then length-prefixed
+// fields in fixed order, little-endian.
 func (rec *HandoffRecord) Marshal() []byte {
-	n := 2 + 2 + len(rec.App) + 8 + 2 + len(rec.Principal) + 4 + len(rec.Block) + 4 + len(rec.State)
+	n := 1 + 2 + len(rec.App) + 8 + 2 + len(rec.Principal) + 4 + len(rec.State)
 	out := make([]byte, 0, n)
 	out = append(out, handoffVersion)
-	var flags byte
-	if rec.Warm {
-		flags |= 1
-	}
-	out = append(out, flags)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(rec.App)))
 	out = append(out, rec.App...)
 	out = binary.LittleEndian.AppendUint64(out, rec.SchemaHash)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(rec.Principal)))
 	out = append(out, rec.Principal...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(rec.Block)))
-	out = append(out, rec.Block...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(rec.State)))
 	out = append(out, rec.State...)
 	return out
@@ -136,14 +120,14 @@ func (rec *HandoffRecord) Marshal() []byte {
 // refused. The result still needs checkRecord at the importing runtime —
 // this is only the transport-shape validation.
 func UnmarshalHandoffRecord(p []byte) (*HandoffRecord, error) {
-	if len(p) < 2 {
+	if len(p) < 1 {
 		return nil, fmt.Errorf("%w: truncated header", ErrBadHandoff)
 	}
 	if p[0] != handoffVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBadHandoff, p[0])
 	}
-	rec := &HandoffRecord{Warm: p[1]&1 != 0}
-	p = p[2:]
+	rec := &HandoffRecord{}
+	p = p[1:]
 	str := func(cap int, what string) (string, error) {
 		if len(p) < 2 {
 			return "", fmt.Errorf("%w: truncated %s length", ErrBadHandoff, what)
@@ -187,9 +171,6 @@ func UnmarshalHandoffRecord(p []byte) (*HandoffRecord, error) {
 	if rec.Principal, err = str(maxHandoffPrincipal, "principal"); err != nil {
 		return nil, err
 	}
-	if rec.Block, err = blob(maxHandoffBlock, "block"); err != nil {
-		return nil, err
-	}
 	if rec.State, err = blob(maxHandoffState, "state"); err != nil {
 		return nil, err
 	}
@@ -200,13 +181,11 @@ func UnmarshalHandoffRecord(p []byte) (*HandoffRecord, error) {
 }
 
 // handoff is the rendezvous object between HandoffPrincipal (which
-// creates it, captures the block, interrupts the worker, and waits) and
-// the unwinding serve path (which observes it, assembles the record, and
-// closes done).
+// creates it, interrupts the worker, and waits) and the unwinding serve
+// path (which observes it, assembles the record, and closes done).
 type handoff struct {
-	block []byte // captured image; nil for a never-dispatched session
-	rec   *HandoffRecord
-	done  chan struct{}
+	rec  *HandoffRecord
+	done chan struct{}
 }
 
 // SchemaHash is the runtime's schema layout identity — the value the
@@ -217,8 +196,7 @@ func (r *Runtime[T]) SchemaHash() uint64 { return r.app.Schema.Hash() }
 // HandoffPrincipal exports the named principal's in-flight session and
 // retires it under the Handed counter. The caller must have quiesced the
 // session at the protocol level first (no request in flight), so the
-// worker is parked on its blocked read: the block image is captured
-// while it is provably not writing, then the read is failed and the
+// worker is parked on its blocked read: the read is failed and the
 // unwind completes the export. Returns ErrNoSession when the principal
 // has no live session (including "it just completed" — the benign race).
 func (r *Runtime[T]) HandoffPrincipal(principal string) (*HandoffRecord, error) {
@@ -241,44 +219,29 @@ func (r *Runtime[T]) HandoffPrincipal(principal string) (*HandoffRecord, error) 
 	}
 	c.hand = h
 	c.hmu.Unlock()
-	// A dispatched worker is parked; its block is stable and current.
-	// Capture before the interrupt — the unwind may write to the block
-	// and none of that may leak into the record. An undispatched session
-	// (batched entry still queued) exports cold: the worker never ran, so
-	// there is no block state to move.
-	if c.Lease.Dispatched() {
-		img := make([]byte, r.app.Schema.Size())
-		r.root.Read(c.Lease.Arg, img)
-		binary.LittleEndian.PutUint64(img[r.connOff:], 0)
-		binary.LittleEndian.PutUint64(img[r.fdOff:], 0)
-		h.block = img
-	}
 	c.interrupt()
 	<-h.done
 	return h.rec, nil
 }
 
 // finishExport runs on the unwinding serve path once a handoff mark was
-// observed: assemble the record (block image captured at mark time, app
-// payload exported now, while c.State is still live) and release the
-// waiting HandoffPrincipal.
+// observed: assemble the record (app payload exported now, while c.State
+// is still live) and release the waiting HandoffPrincipal.
 func (r *Runtime[T]) finishExport(c *Conn[T], h *handoff) {
 	rec := &HandoffRecord{
 		App:        r.app.Name,
 		SchemaHash: r.app.Schema.Hash(),
 		Principal:  c.Principal,
-		Warm:       h.block != nil,
-		Block:      h.block,
 	}
 	if r.app.Export != nil {
-		rec.State = r.app.Export(c, h.block)
+		rec.State = r.app.Export(c)
 	}
 	h.rec = rec
 	close(h.done)
 }
 
 // checkRecord is the import-side gate: app identity, schema hash, and
-// block image are all validated before any resume is attempted. The
+// field bounds are all validated before any resume is attempted. The
 // record is hostile input; nothing in it is trusted past this point
 // except as bounded bytes.
 func (r *Runtime[T]) checkRecord(rec *HandoffRecord) error {
@@ -295,16 +258,6 @@ func (r *Runtime[T]) checkRecord(rec *HandoffRecord) error {
 	}
 	if len(rec.State) > maxHandoffState {
 		return fmt.Errorf("%w: state length %d", ErrBadHandoff, len(rec.State))
-	}
-	if rec.Warm {
-		if err := r.app.Schema.CheckImage(rec.Block); err != nil {
-			// Both targets hold: it is a malformed record (ErrBadHandoff)
-			// because its image fails bounds (gateabi.ErrBadImage).
-			return fmt.Errorf("%w: %s image: %w", ErrBadHandoff, r.app.Name, err)
-		}
-	} else if len(rec.Block) != 0 {
-		return fmt.Errorf("%w: cold record carries a %d-byte block",
-			ErrBadHandoff, len(rec.Block))
 	}
 	return nil
 }
@@ -329,7 +282,7 @@ func (r *Runtime[T]) admitResume() error {
 }
 
 // ResumeConnAs re-admits a handed-off stream session on a new client
-// leg. The record is validated as hostile input (schema hash, block
+// leg. The record is validated as hostile input (schema hash, field
 // bounds) before admission; the app's Import hook then restores its own
 // payload — also under its own validation — and the worker runs with
 // c.Resumed set so it skips the protocol steps the first home already

@@ -66,9 +66,6 @@ type PacketApp[T any] struct {
 	Gates    []gatepool.GateDef
 	OnPacket string // the Gates entry invoked once per flow
 
-	// BatchDepth selects the batched dataplane, exactly as on App.
-	BatchDepth int
-
 	Queue     int
 	AutoSlots bool
 
@@ -82,7 +79,7 @@ type PacketApp[T any] struct {
 	// Export and Import are the session-handoff hooks, exactly as on App:
 	// Export serializes the flow's app state (never secrets), Import
 	// restores it at the new home after validating it as hostile input.
-	Export func(c *Conn[T], block []byte) []byte
+	Export func(c *Conn[T]) []byte
 	Import func(c *Conn[T], rec *HandoffRecord) error
 
 	// Refuse builds the datagram sent back when a first packet is
@@ -187,20 +184,19 @@ type PacketRuntime[T any] struct {
 // schema checks, and the slot policy are exactly New's.
 func NewPacket[T any](root *sthread.Sthread, app PacketApp[T]) (*PacketRuntime[T], error) {
 	r, err := New(root, App[T]{
-		Name:       app.Name,
-		Slots:      app.Slots,
-		MaxSlots:   app.MaxSlots,
-		Schema:     app.Schema,
-		Gates:      app.Gates,
-		Worker:     app.OnPacket,
-		BatchDepth: app.BatchDepth,
-		Queue:      app.Queue,
-		AutoSlots:  app.AutoSlots,
-		InitConn:   app.InitConn,
-		EndConn:    app.EndConn,
-		Finish:     app.Finish,
-		Export:     app.Export,
-		Import:     app.Import,
+		Name:      app.Name,
+		Slots:     app.Slots,
+		MaxSlots:  app.MaxSlots,
+		Schema:    app.Schema,
+		Gates:     app.Gates,
+		Worker:    app.OnPacket,
+		Queue:     app.Queue,
+		AutoSlots: app.AutoSlots,
+		InitConn:  app.InitConn,
+		EndConn:   app.EndConn,
+		Finish:    app.Finish,
+		Export:    app.Export,
+		Import:    app.Import,
 	})
 	if err != nil {
 		return nil, err
@@ -371,14 +367,7 @@ func (p *PacketRuntime[T]) serveFlow(f *flow[T], rec *HandoffRecord) {
 	f.timer = p.wheel.Schedule(p.idle, p.expiry(f, lease))
 	p.fmu.Unlock()
 
-	var ret vm.Addr
-	if p.pool.Batched() {
-		ret, err = lease.CallBatch(root, id, fd, kernel.FDRW)
-	} else {
-		root.Store64(lease.Arg+p.connOff, id)
-		root.Store64(lease.Arg+p.fdOff, uint64(fd))
-		ret, err = lease.CallFD(p.app.Worker, root, lease.Arg, fd, kernel.FDRW)
-	}
+	ret, err := lease.CallBatch(root, id, fd, kernel.FDRW)
 	// Completion/handoff rendezvous, mirroring serveConn: a flow marked
 	// for handoff while its worker ran unwinds as handed, with the export
 	// finished here.
@@ -410,12 +399,10 @@ func (p *PacketRuntime[T]) serveFlow(f *flow[T], rec *HandoffRecord) {
 func (p *PacketRuntime[T]) expiry(f *flow[T], lease *gatepool.Lease) func() {
 	var fire func()
 	fire = func() {
-		// A flow whose ring entry is still queued behind a busy worker
-		// (batched mode) has not been served a single byte: it is
-		// waiting, not idle. Reaping it would drop its queued datagrams,
-		// so hold the full window open until service begins. Classic
-		// leases dispatch at call time and never take this branch —
-		// there, the timer was armed only after Acquire returned.
+		// A flow whose lease still waits in the pool queue for a free
+		// ring has not been served a single byte: it is waiting, not
+		// idle. Reaping it would drop its queued datagrams, so hold the
+		// full window open until service begins.
 		if !lease.Dispatched() {
 			p.fmu.Lock()
 			defer p.fmu.Unlock()

@@ -152,9 +152,10 @@ func TestPacketFlowLifecycle(t *testing.T) {
 			}
 
 			// Silence: the wheel expires the flow and the worker unwinds
-			// as served (clean end).
+			// as served (clean end). serveFlow retires the admission
+			// last, after the flow is gone, so wait for the whole unwind.
 			s = waitSnap(t, rig.rt, "flow expiry", func(s Snapshot) bool {
-				return s.Expired >= 1 && s.Flows == 0
+				return s.Expired >= 1 && s.Flows == 0 && s.Inflight == 0
 			})
 			if s.Served != 1 {
 				t.Fatalf("Served = %d, want 1 after expiry unwind", s.Served)

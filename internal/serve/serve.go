@@ -14,7 +14,7 @@
 //     cores that can actually run slots, not the connection count.
 //   - The accept loop (Serve) and per-connection plumbing (ServeConn):
 //     descriptor installation, lease acquisition, conn-id demux record,
-//     the worker invocation via CallFD, and teardown in the right order.
+//     the worker's ring entry, and teardown in the right order.
 //   - A lifecycle state machine, serving → draining → closed: Drain
 //     completes in-flight connections, rejects new admissions with the
 //     typed overload error, and returns only when the pool is quiescent;
@@ -112,9 +112,9 @@ func DefaultSlots() int {
 	return n
 }
 
-// DefaultBatchDepth is the per-slot ring depth when App.BatchDepth is
-// zero: deep enough that a busy worker amortizes its wakeup over many
-// entries, shallow enough that a slot's arena stays a few schema blocks.
+// DefaultBatchDepth is every runtime's per-slot ring depth: deep enough
+// that a busy worker amortizes its wakeup over many entries, shallow
+// enough that a slot's arena stays a few schema blocks.
 const DefaultBatchDepth = 16
 
 // Conn is one in-flight connection's record: the slot lease, the
@@ -143,10 +143,10 @@ type Conn[T any] struct {
 }
 
 // App declares a pooled wedge application. The runtime instantiates
-// Gates on every pool slot and serves each connection with one CallFD
-// invocation of the Worker gate, after writing the connection's demux id
-// and descriptor number into the slot's argument block at the Schema's
-// reserved demux words.
+// Gates on every pool slot and serves each connection with one ring
+// entry of the Worker gate; the pool writes the connection's demux id
+// and descriptor number into the entry's argument block at the Schema's
+// reserved demux words when the entry dispatches.
 type App[T any] struct {
 	Name     string // pool name, sthread-name prefix, error prefix
 	Slots    int    // initial slot count (<= 0: DefaultSlots)
@@ -159,16 +159,11 @@ type App[T any] struct {
 	// only through the schema's typed field handles.
 	Schema *gateabi.Schema
 
+	// Gates are the defs every slot carries. The Worker def may provide
+	// a Batch body looping over its ring entries; a def with only an
+	// Entry is wrapped in the canonical drain loop automatically.
 	Gates  []gatepool.GateDef
 	Worker string // the Gates entry invoked once per connection
-
-	// BatchDepth selects the batched dataplane (gatepool ring mode): 0
-	// batches at DefaultBatchDepth, > 0 batches at that ring depth, and
-	// < 0 falls back to the classic one-CallFD-per-connection protocol.
-	// When batching, the Worker def should provide a Batch body looping
-	// over its entries; a def with only a classic Entry is wrapped in the
-	// canonical drain loop automatically.
-	BatchDepth int
 
 	// Queue bounds the admission queue: 0 admits without bound (the
 	// pool's blocking Acquire is the only backpressure), n > 0 admits at
@@ -204,12 +199,12 @@ type App[T any] struct {
 	Finish func(c *Conn[T], ret vm.Addr, err error) error
 
 	// Export serializes the app-level state a handed-off session needs at
-	// its new home, given the captured argument-block image. It must
-	// never include secrets the importing side does not already hold
-	// (private keys, passwords): the record crosses the cluster's trust
-	// boundary in the clear, and the new runtime re-derives secret
-	// material from its own store. Optional; nil exports no app state.
-	Export func(c *Conn[T], block []byte) []byte
+	// its new home. It must never include secrets the importing side does
+	// not already hold (private keys, passwords): the record crosses the
+	// cluster's trust boundary in the clear, and the new runtime
+	// re-derives secret material from its own store. Optional; nil
+	// exports no app state.
+	Export func(c *Conn[T]) []byte
 	// Import restores Export's payload into a resumed connection before
 	// its worker runs. The payload arrived from another runtime and must
 	// be treated as hostile input — length- and bounds-checked like any
@@ -224,8 +219,8 @@ type Runtime[T any] struct {
 	pool  *gatepool.Pool
 	conns gatepool.ConnTable[*Conn[T]]
 
-	// The schema's demux-word offsets, resolved once: Lookup and the
-	// per-connection demux writes sit on the hot path.
+	// The schema's demux-word offsets, resolved once: Lookup sits on the
+	// hot path.
 	connOff, fdOff vm.Addr
 
 	// clock is the idle machinery's time source: monotonic nanoseconds
@@ -324,31 +319,20 @@ func New[T any](root *sthread.Sthread, app App[T]) (*Runtime[T], error) {
 	if r.auto {
 		r.autoTarget = slots
 	}
-	depth := app.BatchDepth
-	if depth == 0 {
-		depth = DefaultBatchDepth
-	}
-	if depth < 0 {
-		depth = 0 // classic protocol requested
-	}
-	gates := app.Gates
-	if depth > 0 {
-		// Batched mode needs the worker def to drain a ring. An app that
-		// ships only a classic Entry gets the canonical loop: dispatch
-		// every entry through the same gateabi handles, one Complete per
-		// entry. The slice is copied so the caller's App value is not
-		// mutated behind its back.
-		gates = append([]gatepool.GateDef(nil), app.Gates...)
-		for i := range gates {
-			if gates[i].Name != app.Worker || gates[i].Batch != nil {
-				continue
-			}
-			entry := gates[i].Entry
-			trusted := gates[i].Trusted
-			gates[i].Batch = func(g *sthread.Sthread, b *sthread.Batch, _ vm.Addr) {
-				for b.More() {
-					b.Complete(entry(g, b.Arg(), trusted))
-				}
+	// The worker def drains a ring. An app that ships only an Entry gets
+	// the canonical loop: dispatch every entry through the same gateabi
+	// handles, one Complete per entry. The slice is copied so the
+	// caller's App value is not mutated behind its back.
+	gates := append([]gatepool.GateDef(nil), app.Gates...)
+	for i := range gates {
+		if gates[i].Name != app.Worker || gates[i].Batch != nil {
+			continue
+		}
+		entry := gates[i].Entry
+		trusted := gates[i].Trusted
+		gates[i].Batch = func(g *sthread.Sthread, b *sthread.Batch, _ vm.Addr) {
+			for b.More() {
+				b.Complete(entry(g, b.Arg(), trusted))
 			}
 		}
 	}
@@ -358,7 +342,7 @@ func New[T any](root *sthread.Sthread, app App[T]) (*Runtime[T], error) {
 		MaxSlots:   app.MaxSlots,
 		Schema:     app.Schema,
 		Gates:      gates,
-		BatchDepth: depth,
+		BatchDepth: DefaultBatchDepth,
 	})
 	if err != nil {
 		return nil, err
@@ -633,22 +617,14 @@ func (r *Runtime[T]) serveConn(conn *netsim.Conn, principal string, rec *Handoff
 	id := r.conns.Put(c)
 	defer r.conns.Delete(id)
 
-	var ret vm.Addr
-	if r.pool.Batched() {
-		// Batched dataplane: commit the ring entry and await completion.
-		// The pool writes the demux words at dispatch, after the
-		// principal-switch scrub pass, so nothing is stored here.
-		ret, err = lease.CallBatch(root, id, fd, kernel.FDRW)
-	} else {
-		root.Store64(lease.Arg+r.connOff, id)
-		root.Store64(lease.Arg+r.fdOff, uint64(fd))
-		ret, err = lease.CallFD(r.app.Worker, root, lease.Arg, fd, kernel.FDRW)
-	}
+	// Commit the ring entry and await completion. The pool writes the
+	// demux words at dispatch, after the principal-switch scrub pass, so
+	// nothing is stored here.
+	ret, err := lease.CallBatch(root, id, fd, kernel.FDRW)
 	// Completion/handoff rendezvous: from here the session can no longer
 	// be marked for handoff. If a mark already landed, the interrupted
 	// invocation is the handoff mechanism at work, not a failure — finish
-	// the export (the block image was captured while the worker was still
-	// parked) and unwind as handed.
+	// the export and unwind as handed.
 	c.hmu.Lock()
 	c.completing = true
 	h := c.hand
@@ -818,7 +794,7 @@ type Snapshot struct {
 	App      string
 	State    State
 	Inflight int // admitted connections not yet completed
-	Waiting  int // admitted but not yet holding a slot lease
+	Waiting  int // admitted but not yet holding a ring entry
 	Queue    int // configured admission bound (App.Queue semantics)
 
 	AutoSlots   bool
@@ -874,22 +850,12 @@ func (r *Runtime[T]) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	ps := r.pool.Stats()
 	cs := r.conns.Stats()
-	// Waiting is connections admitted but not yet being serviced. Classic
-	// mode: blocked in Acquire (inflight minus leased slots). Batched
-	// mode: ring admission rarely blocks, so the waiters are the pool's
-	// committed-but-undispatched backlog plus any producer that holds no
-	// ring entry yet.
-	waiting := r.inflight - ps.Busy
-	if ps.RingDepth > 0 {
-		entries := 0
-		for _, g := range ps.Gates {
-			entries += g.Inflight
-		}
-		waiting = r.inflight - entries
-		if waiting < 0 {
-			waiting = 0
-		}
-		waiting += ps.Backlog
+	// Waiting is connections admitted but holding no ring entry yet:
+	// blocked in Acquire or queued in the pool for a free ring. A bound
+	// entry never waits behind another body, so it counts as serviced.
+	waiting := r.inflight
+	for _, g := range ps.Gates {
+		waiting -= g.Inflight
 	}
 	s := Snapshot{
 		App:      r.app.Name,

@@ -518,14 +518,8 @@ func (a PacketApp) batchRingResidueP(t *testing.T) {
 		prev = append(prev, pr)
 		mu.Unlock()
 	}
-	skipped := false
 	a.start(t, 1, probe, func(r *prig) {
 		st := r.rt.PoolStats()
-		if st.RingDepth == 0 {
-			skipped = true
-			a.checkClosedP(t, r)
-			return
-		}
 		depth.Store(int64(st.RingDepth))
 		stop := servePacketLoop(r)
 		sessions := 4
@@ -582,25 +576,17 @@ func (a PacketApp) batchRingResidueP(t *testing.T) {
 		checkQuiescentP(t, r, "after the ring residue sessions")
 		a.checkClosedP(t, r)
 	})
-	if skipped {
-		t.Skip("pool runs the classic protocol: no ring to probe")
-	}
 }
 
 // batchAbandonedEntriesP: leak accounting for abandoned ring entries on
 // the datagram path. A held flow parks the worker inside its entry's body
-// while a new principal's first datagram admits a flow whose entry queues
-// behind it (visible as pool backlog). Both clients vanish; the wheel
+// while a new principal's first datagram admits a flow whose lease waits
+// in the pool queue for the ring (visible as pool backlog). Both clients
+// vanish; the wheel
 // must expire both flows, the backlog must drain to zero, the admission
 // ledger must balance, and teardown must reach both baselines.
 func (a PacketApp) batchAbandonedEntriesP(t *testing.T) {
-	skipped := false
 	a.start(t, 1, nil, func(r *prig) {
-		if r.rt.PoolStats().RingDepth == 0 {
-			skipped = true
-			a.checkClosedP(t, r)
-			return
-		}
 		stop := servePacketLoop(r)
 		held, err := a.Hold(r.k)
 		if err != nil {
@@ -613,7 +599,7 @@ func (a PacketApp) batchAbandonedEntriesP(t *testing.T) {
 		if _, err := ghost.WriteTo([]byte{0xff, 0xfe, 0xfd}, a.Addr); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "a committed ring entry queued behind the held worker", func() bool {
+		waitFor(t, "a committed lease queued while the worker is held", func() bool {
 			return r.rt.PoolStats().Backlog >= 1
 		})
 		// The queued client vanishes while its entry is still undispatched,
@@ -639,12 +625,9 @@ func (a PacketApp) batchAbandonedEntriesP(t *testing.T) {
 		checkQuiescentP(t, r, "after the abandoned entries")
 		a.checkClosedP(t, r)
 	})
-	if skipped {
-		t.Skip("pool runs the classic protocol: no ring to probe")
-	}
 }
 
-// idleExpiry is the datagram-specific case the ISSUE names: a flow
+// idleExpiry is the datagram-specific case: a flow
 // retired by the wheel (client simply stops talking — no close, no
 // protocol end) must reclaim the slot pin through the full teardown
 // path. Concretely: the lease is released and task/tag accounting
@@ -672,11 +655,13 @@ func (a PacketApp) idleExpiry(t *testing.T) {
 			t.Fatalf("principal A: %v", err)
 		}
 
-		// The wheel — and nothing else — ends the flow.
+		// The wheel — and nothing else — ends the flow. serveFlow retires
+		// the admission last, after the flow and the lease are gone, so
+		// wait for the whole unwind, exactly as settle does.
 		waitFor(t, "idle expiry of principal A's flow", func() bool {
-			s := r.rt.Snapshot()
-			return s.Expired >= 1 && s.Flows == 0 && s.Pool.Busy == 0
+			return r.rt.Snapshot().Expired >= 1
 		})
+		settle(t, r, "after expiry")
 		// Expiry reclaimed the slot pin: lease released, conn entry
 		// gone, and the kernel accounting back to the serving baseline.
 		checkQuiescentP(t, r, "after expiry")

@@ -684,14 +684,8 @@ func (a App) batchRingResidue(t *testing.T) {
 		prev = append(prev, pr)
 		mu.Unlock()
 	}
-	skipped := false
 	a.start(t, 1, probe, func(r *rig) {
 		st := r.rt.PoolStats()
-		if st.RingDepth == 0 {
-			skipped = true
-			a.checkClosed(t, r)
-			return
-		}
 		depth.Store(int64(st.RingDepth))
 		stop := serveLoop(r)
 		sessions := 4
@@ -747,27 +741,19 @@ func (a App) batchRingResidue(t *testing.T) {
 		checkQuiescent(t, r, "after the ring residue sessions")
 		a.checkClosed(t, r)
 	})
-	if skipped {
-		t.Skip("pool runs the classic protocol: no ring to probe")
-	}
 }
 
 // batchAbandonedEntries: leak accounting for ring entries abandoned at
 // every stage. With one slot, a held session parks the worker inside its
-// entry's body while a second admission commits the next entry behind it
-// (visible as pool backlog). Both clients then vanish — the queued one
-// before its entry ever dispatched, the held one mid-invocation. The
+// entry's body while a second admission commits its lease, which waits in
+// the pool queue for the ring (visible as pool backlog). Both clients
+// then vanish — the queued one before its entry ever dispatched, the held
+// one mid-invocation. The
 // runtime must retire both entries, balance its admission ledger, drain
 // the backlog to zero, and return task and tag accounting to the serving
 // baseline; Close must reach the pre-runtime baseline.
 func (a App) batchAbandonedEntries(t *testing.T) {
-	skipped := false
 	a.start(t, 1, nil, func(r *rig) {
-		if r.rt.PoolStats().RingDepth == 0 {
-			skipped = true
-			a.checkClosed(t, r)
-			return
-		}
 		stop := serveLoop(r)
 		held, err := a.Hold(r.k)
 		if err != nil {
@@ -777,7 +763,7 @@ func (a App) batchAbandonedEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "a committed ring entry queued behind the held worker", func() bool {
+		waitFor(t, "a committed lease queued while the worker is held", func() bool {
 			return r.rt.PoolStats().Backlog >= 1
 		})
 		// The queued client vanishes while its entry is still undispatched,
@@ -806,9 +792,6 @@ func (a App) batchAbandonedEntries(t *testing.T) {
 		checkQuiescent(t, r, "after the abandoned entries")
 		a.checkClosed(t, r)
 	})
-	if skipped {
-		t.Skip("pool runs the classic protocol: no ring to probe")
-	}
 }
 
 // snapshot: the unified observability surface agrees with what the

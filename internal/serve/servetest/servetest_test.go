@@ -51,7 +51,7 @@ func newEcho(root *sthread.Sthread, slots int, probe servetest.Probe) (servetest
 		Slots:  slots,
 		Schema: echoSchema,
 		Worker: "worker",
-		Export: func(c *serve.Conn[echoState], _ []byte) []byte {
+		Export: func(c *serve.Conn[echoState]) []byte {
 			if c.State.greeted {
 				return []byte{1}
 			}

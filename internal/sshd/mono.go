@@ -33,12 +33,6 @@ type Monolithic struct {
 	root  *sthread.Sthread
 	cfg   ServerConfig
 	hooks MonoHooks
-
-	// lastScratch records where the most recent PAM-style scratch
-	// allocation landed — the heap-disclosure stand-in that lets an
-	// exploit locate the residue.
-	lastScratch vm.Addr
-	scratchLen  int
 }
 
 // MonoHooks injects exploit code into the (single) compartment.
@@ -135,12 +129,18 @@ func (m *Monolithic) ServeConn(conn *netsim.Conn) error {
 				return err
 			}
 			entry, found := LookupShadow(entries, user)
+			// scratch is where this attempt's PAM-style scratch landed —
+			// the heap-disclosure stand-in that lets an exploit locate
+			// the residue. It is per attempt: connections run
+			// concurrently.
 			var passOK bool
+			var scratch vm.Addr
+			var scratchLen int
 			if found {
-				passOK, m.lastScratch, m.scratchLen = pamCheck(s, entry, pass)
+				passOK, scratch, scratchLen = pamCheck(s, entry, pass)
 			}
 			if m.hooks.PostAuth != nil {
-				m.hooks.PostAuth(s, m.lastScratch, m.scratchLen)
+				m.hooks.PostAuth(s, scratch, scratchLen)
 			}
 			if found && passOK {
 				authedUID, authedHome = entry.UID, entry.Home

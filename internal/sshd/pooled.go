@@ -8,10 +8,9 @@
 // gates each slot carries:
 //
 //   - "worker": the unprivileged network-facing compartment, created
-//     confined (WorkerUID, chrooted to /var/empty). One invocation serves
-//     one connection; the connection's descriptor arrives as a
-//     per-invocation argument descriptor (CallFD) and is revoked when the
-//     invocation completes.
+//     confined (WorkerUID, chrooted to /var/empty). One ring entry serves
+//     one connection; the connection's descriptor is granted to the
+//     worker when the entry dispatches and revoked when it completes.
 //   - "sign", "auth_password", "auth_pubkey", "auth_skey": the Figure 6
 //     callgates, recycled. They hold exactly the memory their one-shot
 //     counterparts hold (host-key tag for sign, nothing but the slot's
@@ -72,12 +71,13 @@ type sshPoolConn struct {
 	pendingSKey string
 }
 
-// poolWorker resolves a slot's recycled worker sthread through the lease
-// at call time. Never cache the result across gate invocations: a
-// batched pool can migrate a connection's undispatched ring entry to a
-// different slot, and the lease is re-pointed when it does.
+// poolWorker returns the recycled worker sthread of the lease's slot, for
+// the auth gates to promote. The gates run inside the worker's entry,
+// where the lease is bound, and a bound lease never changes slot, so the
+// worker is resolved once.
 func poolWorker(l *gatepool.Lease, name string) func() *sthread.Sthread {
-	return func() *sthread.Sthread { return l.Gate(name).Sthread() }
+	w := l.Gate(name).Sthread()
+	return func() *sthread.Sthread { return w }
 }
 
 // NewPooledWedge builds the pooled server with the given number of slots
@@ -155,11 +155,9 @@ func NewPooledWedge(root *sthread.Sthread, cfg ServerConfig, slots int, hooks We
 		// connection's authentication did to the recycled worker's
 		// identity is undone here, because an authenticated uid is
 		// per-connection state, not slot affinity. The worker sthread is
-		// resolved through the lease at every use (not cached at
-		// InitConn): a batched pool may migrate the connection's ring
-		// entry to another slot before dispatch, and only the lease
-		// tracks the slot that actually served it.
-		EndConn: func(c *serve.Conn[sshPoolConn]) { demoteSSHWorker(root, poolWorker(c.Lease, "worker")()) },
+		// resolved through the lease here, not at InitConn: a lease that
+		// queued for a free ring is bound only when its entry runs.
+		EndConn: func(c *serve.Conn[sshPoolConn]) { demoteSSHWorker(root, c.Lease.Gate("worker")) },
 	})
 	if err != nil {
 		// A failed runtime build (e.g. /var/empty not provisioned, so

@@ -84,9 +84,14 @@ type privsepPoolConn struct {
 // demoteSSHWorker strips any promotion an auth/monitor gate performed on a
 // slot's recycled worker, restoring the confined identity it was created
 // with. Shared by the pooled Wedge build and the pooled privsep monitor.
-func demoteSSHWorker(root, worker *sthread.Sthread) {
-	root.Task.ChrootOn(worker.Task, "/var/empty")
-	root.Task.SetUIDOn(worker.Task, WorkerUID)
+// A nil worker — the lease never bound a ring, so no worker ran for the
+// connection — has nothing to undo.
+func demoteSSHWorker(root *sthread.Sthread, worker *sthread.Recycled) {
+	if worker == nil {
+		return
+	}
+	root.Task.ChrootOn(worker.Sthread().Task, "/var/empty")
+	root.Task.SetUIDOn(worker.Sthread().Task, WorkerUID)
 }
 
 // NewPooledPrivsep builds the pooled privsep server with the given number
@@ -162,9 +167,9 @@ func NewPooledPrivsep(root *sthread.Sthread, cfg ServerConfig, slots int, hooks 
 		// connection's authentication did to the recycled slave's identity
 		// is undone before another principal (or another connection of the
 		// same one) can lease the slot. The slave is resolved through the
-		// lease at use time, never cached — migration in the batched pool
-		// can re-point the lease at another slot before dispatch.
-		EndConn: func(c *serve.Conn[privsepPoolConn]) { demoteSSHWorker(root, poolWorker(c.Lease, "slave")()) },
+		// lease here, not at InitConn: a lease that queued for a free
+		// ring binds only when its entry runs.
+		EndConn: func(c *serve.Conn[privsepPoolConn]) { demoteSSHWorker(root, c.Lease.Gate("slave")) },
 	})
 	if err != nil {
 		releaseTags(root, p.hostTag, p.pubTag)

@@ -78,6 +78,12 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
+	if len(payload) == 0 {
+		// The header is the whole frame. A second, empty write would
+		// fail if the peer already acted on the frame and closed — an
+		// Exit the server honoured would be reported as lost.
+		return nil
+	}
 	_, err := w.Write(payload)
 	return err
 }

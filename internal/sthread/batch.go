@@ -53,8 +53,7 @@ const (
 )
 
 // ErrBatchAborted reports that a ring entry was aborted at dispatch —
-// its Dispatch hook failed or the entry was cancelled — so the worker
-// body never ran for it.
+// its Dispatch hook failed — so the worker body never ran for it.
 var ErrBatchAborted = errors.New("sthread: batch entry aborted before dispatch")
 
 // BatchRingBytes returns the arena footprint of a ring: three control
@@ -265,53 +264,15 @@ func (r *BatchRing) PublishTo(seq uint64) error {
 	return nil
 }
 
-// AbortPending releases the producer awaiting entry seq with
-// ErrBatchAborted before the worker has reached it. It is the migration
-// hook: a pool that re-binds a still-undispatched entry to another slot
-// must first ensure the worker will observe the entry as cancelled when
-// it gets there (the Dispatch hook's contract) — the worker's own abort
-// of the same seq is then idempotent.
-func (r *BatchRing) AbortPending(seq uint64) {
-	pos := seq % r.depth
-	storeMax(&r.abortSeq[pos], seq+1)
-	select {
-	case r.waitCh[pos] <- struct{}{}:
-	default:
-	}
-}
-
-// storeMax ratchets a shadow word forward. The abort shadow is shared by
-// every seq that ever occupies its ring position, and its writers (the
-// migration hook under the pool lock, the worker's finish) can be
-// preempted between deciding to abort and storing — a plain store could
-// drag the word backwards over a successor's abort, stranding that
-// successor's producer.
-func storeMax(a *atomic.Uint64, v uint64) {
-	for {
-		cur := a.Load()
-		if cur >= v || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Await blocks until entry seq completes, returning the worker body's
 // return word, or fails: ErrBatchAborted if the entry was aborted at
 // dispatch, ErrGateExited if the gate died first. Completion is judged
 // by the trusted host-side shadows — the simulated status word plays no
 // part — so the Complete hook is strictly ordered before Await returns.
-//
-// The abort check is >=, not ==. A position's shadows are shared by
-// every seq that serves there, and a position normally cannot be reused
-// until its producer returns from Await and releases — except when the
-// entry was migrated to another ring, which retires it on the producer's
-// behalf. A producer slow to its first check can then find abortSeq
-// already advanced past its own seq by a successor's abort; that state
-// is only reachable through its entry's cancellation, so any value >=
-// seq+1 means "your tenancy here ended aborted". The done check stays
-// exact: a completed entry's position cannot recycle until this very
-// producer releases it, so doneSeq beyond seq+1 is unreachable while we
-// wait.
+// Both checks are exact: a position's shadows are shared by every seq
+// that serves there, but a position cannot be reused until its producer
+// returns from Await and releases, so no later seq can overwrite them
+// while this one waits.
 func (r *BatchRing) Await(seq uint64) (vm.Addr, error) {
 	pos := seq % r.depth
 	gdone := r.gate.gate.Task.Done()
@@ -319,7 +280,7 @@ func (r *BatchRing) Await(seq uint64) (vm.Addr, error) {
 		if r.doneSeq[pos].Load() == seq+1 {
 			return vm.Addr(r.retVal[pos].Load()), nil
 		}
-		if r.abortSeq[pos].Load() >= seq+1 {
+		if r.abortSeq[pos].Load() == seq+1 {
 			return 0, ErrBatchAborted
 		}
 		select {
@@ -331,7 +292,7 @@ func (r *BatchRing) Await(seq uint64) (vm.Addr, error) {
 			// The gate died. A completion racing with death published its
 			// shadow before we got here, so one re-check distinguishes
 			// "finished then died" from "died with the entry pending".
-			if r.doneSeq[pos].Load() != seq+1 && r.abortSeq[pos].Load() < seq+1 {
+			if r.doneSeq[pos].Load() != seq+1 && r.abortSeq[pos].Load() != seq+1 {
 				return 0, ErrGateExited
 			}
 		}
@@ -412,7 +373,7 @@ func (b *Batch) finish(seq uint64, ret vm.Addr, status uint64) {
 		r.retVal[pos].Store(uint64(ret))
 		r.doneSeq[pos].Store(seq + 1)
 	} else {
-		storeMax(&r.abortSeq[pos], seq+1)
+		r.abortSeq[pos].Store(seq + 1)
 	}
 	select {
 	case r.waitCh[pos] <- struct{}{}:

@@ -231,11 +231,11 @@ func (r *Recycled) invokeInline(arg vm.Addr) (ret vm.Addr, err error) {
 				panic(p)
 			}
 			r.gate.Task.ExitFault(f)
-			// Reap the parked serve goroutine through its stop word, the
-			// same mechanism Close uses. The task is already dead, so
-			// Close can still run afterwards to retire the control tag.
-			r.creator.Task.AtomicStore64(r.ctl+rcStop, 1)
-			r.creator.Task.FutexWake(r.ctl+rcGen, 1)
+			// Reap the parked serve goroutine the way Close does. The
+			// task is already dead, so Close can still run afterwards to
+			// retire the control tag; the caller's error is ErrGateExited
+			// whether or not the stop request lands.
+			_ = r.stopServe()
 			ret, err = 0, ErrGateExited
 		}
 	}()
@@ -376,10 +376,30 @@ func (r *Recycled) Close() error {
 		<-r.gate.Task.Done()
 		return nil
 	}
-	if err := r.creator.Task.AtomicStore64(r.ctl+rcStop, 1); err != nil {
+	if err := r.stopServe(); err != nil {
 		return err
 	}
-	r.creator.Task.FutexWake(r.ctl+rcGen, 1)
 	<-r.gate.Task.Done()
 	return r.app.Tags.TagDelete(r.ctlTag)
+}
+
+// stopServe asks the serve loop to exit; r.mu is held, so no caller races
+// the generation word. The stop word alone is not enough: it is not the
+// futex word, so a gate between its stop check and its sleep would miss
+// the wake and sleep forever. Bumping the generation after the stop store
+// makes that sleep fail its value check, and the loop then sees the stop.
+func (r *Recycled) stopServe() error {
+	ct := r.creator.Task
+	if err := ct.AtomicStore64(r.ctl+rcStop, 1); err != nil {
+		return err
+	}
+	gen, err := ct.AtomicLoad64(r.ctl + rcGen)
+	if err != nil {
+		return err
+	}
+	if err := ct.AtomicStore64(r.ctl+rcGen, gen+1); err != nil {
+		return err
+	}
+	ct.FutexWake(r.ctl+rcGen, 1)
+	return nil
 }

@@ -1,7 +1,9 @@
 package sthread
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"wedge/internal/kernel"
 	"wedge/internal/policy"
@@ -174,4 +176,47 @@ func TestSthreadZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecycledCloseNeverLosesWakeup: Close must stop a classic gate
+// wherever its serve loop is — before its first stop check, between that
+// check and the futex sleep, or asleep. The loop creates and closes gates
+// under varied interleavings; a lost wakeup shows as a Close that never
+// returns.
+func TestRecycledCloseNeverLosesWakeup(t *testing.T) {
+	cycles := 5000
+	if testing.Short() {
+		cycles = 500
+	}
+	boot(t, func(root *Sthread) {
+		entry := func(g *Sthread, arg, _ vm.Addr) vm.Addr { return arg }
+		for i := 0; i < cycles; i++ {
+			r, err := root.NewRecycled("close-race", nil, entry, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch i % 4 {
+			case 1:
+				runtime.Gosched()
+			case 2:
+				if ret, err := r.Call(root, vm.Addr(i)); err != nil || ret != vm.Addr(i) {
+					t.Fatalf("cycle %d: Call = %v, %v", i, ret, err)
+				}
+			case 3:
+				for j := 0; j < i%7; j++ {
+					runtime.Gosched()
+				}
+			}
+			closed := make(chan struct{})
+			go func() {
+				r.Close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("cycle %d: Close never returned: the gate slept through the stop request", i)
+			}
+		}
+	})
 }

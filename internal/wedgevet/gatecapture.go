@@ -92,7 +92,7 @@ func captureSinkAt(pass *Pass, n ast.Node) (*ast.FuncLit, string, token.Pos) {
 		}
 		return unwrapFuncLit(pass, n.Args[idx]), sel.Sel.Name, n.End()
 	case *ast.CompositeLit:
-		// policy.GateSpec{Entry: …} / gatepool.GateDef{Entry: …}
+		// policy.GateSpec{Entry: …} / gatepool.GateDef{Entry: …} or {Batch: …}
 		tv, ok := pass.TypesInfo.Types[n]
 		if !ok || !isEntryStruct(tv.Type) {
 			return nil, "", 0
@@ -102,7 +102,7 @@ func captureSinkAt(pass *Pass, n ast.Node) (*ast.FuncLit, string, token.Pos) {
 			if !ok {
 				continue
 			}
-			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Entry" {
+			if key, ok := kv.Key.(*ast.Ident); ok && (key.Name == "Entry" || key.Name == "Batch") {
 				return unwrapFuncLit(pass, kv.Value), structName(tv.Type), n.End()
 			}
 		}

@@ -219,7 +219,7 @@ func (w *schemaWorld) emitModel(prog *crowbar.StaticProgram, file *ast.File) {
 					if s, ok := stringLit(kv.Value); ok {
 						name = s
 					}
-				case "Entry":
+				case "Entry", "Batch":
 					entry = kv.Value
 				}
 			}

@@ -576,8 +576,8 @@ func (w *schemaWorld) exportFacts() {
 }
 
 // checkRegistrations finds serve.App / serve.PacketApp / gatepool.Config
-// composite literals and verifies every gate entry's footprint against
-// the registered schema.
+// composite literals and verifies every gate entry's (and worker Batch
+// body's) footprint against the registered schema.
 func (w *schemaWorld) checkRegistrations(file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		lit, ok := n.(*ast.CompositeLit)
@@ -621,7 +621,7 @@ func (w *schemaWorld) checkRegistrations(file *ast.File) {
 				if !ok {
 					continue
 				}
-				if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Entry" {
+				if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Entry" && key.Name != "Batch" {
 					continue
 				}
 				usedBuilders, _ := w.entryFootprint(kv.Value)

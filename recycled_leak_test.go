@@ -86,12 +86,12 @@ func TestRecycledGateLeaksAcrossCallers(t *testing.T) {
 }
 
 // TestPooledGateScrubsAcrossPrincipals: the gatepool counterpart of the
-// recycled-gate leak. A gate that copies its sensitive argument into the
-// slot's shared argument block leaves residue there; when the slot passes
-// to a different principal, the pool scrubs the block, so the second
-// principal's probe reads zeroes. The same pool with scrubbing disabled
-// (the ablation toggle) reproduces the §3.3 exposure — proving it is the
-// scrub, not luck, that closes the leak.
+// recycled-gate leak. A worker that copies its sensitive argument into
+// its ring entry's scratch word leaves residue there; when the ring
+// position passes to a different principal, the pool scrubs the block,
+// so the second principal's probe reads zeroes. The same pool with
+// scrubbing disabled (the ablation toggle) reproduces the §3.3 exposure —
+// proving it is the scrub, not luck, that closes the leak.
 func TestPooledGateScrubsAcrossPrincipals(t *testing.T) {
 	for _, noScrub := range []bool{false, true} {
 		name := "scrubbed"
@@ -101,36 +101,41 @@ func TestPooledGateScrubsAcrossPrincipals(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sys := wedge.NewSystem()
 			err := sys.Main(func(main *wedge.Sthread) {
-				// The gate copies the word at arg+0 into the scratch slot
-				// arg+8 of its argument block and does not scrub it —
+				// The worker copies the word at arg+0 into the scratch
+				// slot arg+8 of its entry block and does not scrub it —
 				// PAM's bug (§5.2), recreated in shared argument memory.
-				gate := func(g *wedge.Sthread, arg, _ wedge.Addr) wedge.Addr {
-					g.Store64(arg+8, g.Load64(arg))
-					return 1
+				worker := func(g *wedge.Sthread, b *wedge.Batch, _ wedge.Addr) {
+					for b.More() {
+						g.Store64(b.Arg()+8, g.Load64(b.Arg()))
+						b.Complete(1)
+					}
 				}
+				// One slot, one ring position: both principals' entries
+				// land in the same block.
 				pool, err := wedge.NewGatePool(main, wedge.GatePoolConfig{
-					Name:    "leaky",
-					Slots:   1,
-					Gates:   []wedge.GateDef{{Name: "process", Entry: gate}},
-					NoScrub: noScrub,
+					Name:       "leaky",
+					Slots:      1,
+					BatchDepth: 1,
+					Gates:      []wedge.GateDef{{Name: "process", Batch: worker}},
+					NoScrub:    noScrub,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer pool.Close()
 
-				// Principal A processes its secret through the gate.
+				// Principal A processes its secret through the worker.
 				a, err := pool.Acquire("principal-a")
 				if err != nil {
 					t.Fatal(err)
 				}
 				main.Store64(a.Arg, scratchSecret)
-				if ret, err := a.Call("process", main, a.Arg); err != nil || ret != 1 {
-					t.Fatalf("processing call = %v, %v", ret, err)
+				if ret, err := a.CallBatch(main, 0, -1, 0); err != nil || ret != 1 {
+					t.Fatalf("processing entry = %v, %v", ret, err)
 				}
 				a.Release()
 
-				// Principal B leases the same slot and scans the block.
+				// Principal B binds the same position and scans the block.
 				b, err := pool.Acquire("principal-b")
 				if err != nil {
 					t.Fatal(err)

@@ -99,8 +99,14 @@ type (
 	GatePoolConfig = gatepool.Config
 	// GateDef names one recycled entry point every pool slot instantiates.
 	GateDef = gatepool.GateDef
-	// GateLease is exclusive use of one pool slot, Acquire to Release.
+	// GateLease is one session's claim on a pool slot's ring, Acquire to
+	// Release.
 	GateLease = gatepool.Lease
+	// BatchFunc is a pool's worker body (GateDef.Batch): it drains its
+	// slot's ring, one Batch entry at a time.
+	BatchFunc = sthread.BatchFunc
+	// Batch is a worker body's cursor over its ring's pending entries.
+	Batch = sthread.Batch
 	// GatePoolStats is a snapshot of a pool's scheduling counters.
 	GatePoolStats = gatepool.Stats
 
