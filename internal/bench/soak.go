@@ -77,7 +77,7 @@ type SoakRow struct {
 	Principals int // clean, timed churns
 	Conc       int
 	Stats      CellStats
-	Reaped     uint64 // idle-reaped sessions (stream) or expired flows (packet)
+	Reaped     uint64 // sessions ended by idle expiry (Snapshot.Expired)
 	PeakConns  int    // peak conn-table occupancy observed during the run
 	PeakShard  int    // peak single-shard depth observed during the run
 	Shards     int    // conn-table shard count
@@ -381,7 +381,7 @@ func soakPop3(opts SoakOpts) (SoakRow, error) {
 		return SoakRow{}, err
 	}
 	base := takeBaseline(k, app)
-	reaped0 := b.srv.Snapshot().IdleReaped
+	reaped0 := b.srv.Snapshot().Expired
 
 	sm := startSampler(b.srv.Snapshot)
 	stats, derr := soakDrive(opts.Principals, opts.Conc, session)
@@ -396,7 +396,7 @@ func soakPop3(opts SoakOpts) (SoakRow, error) {
 	if err := base.check(k, app, opts.Principals); err != nil {
 		return SoakRow{}, err
 	}
-	reaped := snap.IdleReaped - reaped0
+	reaped := snap.Expired - reaped0
 	if opts.SilentEvery > 0 && reaped == 0 {
 		return SoakRow{}, fmt.Errorf("no sessions idle-reaped with SilentEvery=%d", opts.SilentEvery)
 	}

@@ -65,8 +65,8 @@ type StreamBackend interface {
 }
 
 // PacketBackend is the datagram counterpart: the slice of a
-// serve.PacketRuntime the director drives for flows. dnsd.Resolver
-// satisfies it via its embedded runtime.
+// serve.Runtime the director drives for flows. dnsd.Resolver satisfies
+// it via its embedded runtime.
 type PacketBackend interface {
 	DeliverPacket(pc *netsim.PacketConn, payload []byte, from string)
 	ResumeFlow(pc *netsim.PacketConn, peer string, rec *serve.HandoffRecord) error

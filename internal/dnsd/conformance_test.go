@@ -11,13 +11,14 @@ import (
 	"wedge/internal/sthread"
 )
 
-// TestServeConformance runs the datagram conformance battery against
-// the resolver. The residue window is the slot's value/signature area —
-// principal A's record value and signed answer, which the pool must
-// scrub before principal B's worker invocation can observe them. The
-// short IdleTimeout is what the battery requires: every flow ends by a
-// real wheel expiry.
+// TestServeConformance runs the conformance battery over datagrams
+// against the resolver. The residue window is the slot's value/signature
+// area — principal A's record value and signed answer, which the pool
+// must scrub before principal B's worker invocation can observe them.
+// The short IdleTimeout is what the battery requires: every flow ends by
+// a real wheel expiry.
 func TestServeConformance(t *testing.T) {
+	const idle = 250 * time.Millisecond
 	key := testZoneKey(t)
 	zone := append(testZone(), Record{Name: "secret.example", Value: "zone-secret-hunter2"})
 
@@ -34,17 +35,35 @@ func TestServeConformance(t *testing.T) {
 		return pc, a, nil
 	}
 
-	servetest.RunPacket(t, servetest.PacketApp{
-		Name: "dnsd",
-		Addr: "dns:53",
-		New: func(root *sthread.Sthread, slots int, probe servetest.Probe) (servetest.PacketRuntime, error) {
+	// startFrag parks a flow's worker mid-reassembly: the first half of a
+	// FRAG query sent and acked, the continuation pending.
+	startFrag := func(pc *netsim.PacketConn) (*FragQuery, error) {
+		return StartFrag(pc, "dns:53", "www.example", 4)
+	}
+	finishFrag := func(fq *FragQuery) error {
+		a, err := fq.Finish()
+		if err != nil {
+			return err
+		}
+		if a.Status != StatusNoError {
+			return fmt.Errorf("held query: status %d, want NOERROR", a.Status)
+		}
+		return a.Verify(&key.PublicKey)
+	}
+
+	servetest.Run(t, servetest.App{
+		Name:      "dnsd",
+		Addr:      "dns:53",
+		Transport: servetest.Datagram,
+		Idle:      idle,
+		New: func(root *sthread.Sthread, slots int, probe servetest.Probe) (servetest.Runtime, error) {
 			hooks := Hooks{}
 			if probe != nil {
 				hooks.Worker = func(w *sthread.Sthread, ctx *ConnContext) { probe(w, ctx.ArgAddr) }
 			}
 			return NewPooled(root, key, zone, Config{
 				Slots:       slots,
-				IdleTimeout: 250 * time.Millisecond,
+				IdleTimeout: idle,
 				Hooks:       hooks,
 			})
 		},
@@ -67,7 +86,7 @@ func TestServeConformance(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			fq, err := StartFrag(pc, "dns:53", "www.example", 4)
+			fq, err := startFrag(pc)
 			if err != nil {
 				pc.Close()
 				return nil, err
@@ -75,16 +94,17 @@ func TestServeConformance(t *testing.T) {
 			return &servetest.Held{
 				Finish: func() error {
 					defer pc.Close()
-					a, err := fq.Finish()
-					if err != nil {
-						return err
-					}
-					if a.Status != StatusNoError {
-						return fmt.Errorf("held query: status %d, want NOERROR", a.Status)
-					}
-					return a.Verify(&key.PublicKey)
+					return finishFrag(fq)
 				},
 				Abandon: func() error { return pc.Close() },
+				// Complete the parked query and park the next one.
+				Ping: func() error {
+					if err := finishFrag(fq); err != nil {
+						return err
+					}
+					fq, err = startFrag(pc)
+					return err
+				},
 			}, nil
 		},
 		Schema: GateSchema(),

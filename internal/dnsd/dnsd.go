@@ -9,7 +9,7 @@
 // applied to datagrams: signed answers and signed denials both come
 // only from the gate).
 //
-// The server is a serve.PacketApp on the datagram runtime
+// The server is a serve.App served through the runtime's datagram demux
 // (internal/serve): the runtime owns the packet loop, demultiplexes
 // datagrams by source address into flows, and retires idle flows by
 // timer wheel. One worker invocation serves one flow — all queries a
@@ -114,17 +114,21 @@ type Hooks struct {
 	Resolve func()
 }
 
+// DefaultIdleTimeout is the flow-expiry window when Config sets none.
+// Datagram flows must always expire — there is no FIN.
+const DefaultIdleTimeout = 30 * time.Second
+
 // Config sizes the resolver.
 type Config struct {
 	Slots       int           // gate-pool slots (serve.DefaultSlots if <= 0)
-	IdleTimeout time.Duration // flow-expiry window (serve.DefaultIdleTimeout if <= 0)
+	IdleTimeout time.Duration // flow-expiry window (DefaultIdleTimeout if <= 0)
 	Hooks       Hooks
 }
 
 // Resolver serves signed answers over datagrams with zero per-flow
-// sthread creations. The embedded datagram runtime owns the packet
-// loop (ServePackets), flow expiry, lifecycle (Drain/Undrain/Close),
-// sizing, and observability.
+// sthread creations. The embedded runtime owns the packet loop
+// (ServePackets), flow expiry, lifecycle (Drain/Undrain/Close), sizing,
+// and observability.
 type Resolver struct {
 	root  *sthread.Sthread
 	hooks Hooks
@@ -137,7 +141,7 @@ type Resolver struct {
 	// would degenerate to per-flow allocation.
 	bufs sync.Pool
 
-	*serve.PacketRuntime[dnsConn]
+	*serve.Runtime[dnsConn]
 }
 
 // dnsConn is one flow's gate-side state. The FRAG reassembly position
@@ -165,12 +169,16 @@ func NewPooled(root *sthread.Sthread, key *rsa.PrivateKey, zone []Record, cfg Co
 	if r.zoneTag, r.zoneAddr, err = placeBlob(root, marshalZone(key, zone)); err != nil {
 		return nil, err
 	}
-	r.PacketRuntime, err = serve.NewPacket(root, serve.PacketApp[dnsConn]{
+	idle := cfg.IdleTimeout
+	if idle <= 0 {
+		idle = DefaultIdleTimeout
+	}
+	r.Runtime, err = serve.New(root, serve.App[dnsConn]{
 		Name:        "dnsd",
 		Slots:       cfg.Slots,
 		Schema:      dnsSchema,
-		OnPacket:    "worker",
-		IdleTimeout: cfg.IdleTimeout,
+		Worker:      "worker",
+		IdleTimeout: idle,
 		Export:      exportDNS,
 		Import:      importDNS,
 		Gates: []gatepool.GateDef{

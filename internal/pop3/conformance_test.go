@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"wedge/internal/kernel"
 	"wedge/internal/netsim"
@@ -13,13 +14,13 @@ import (
 )
 
 // TestServeConformance runs the shared serve-app battery against the
-// pooled POP3 server. The residue window is the RETR output area at
-// the output field — principal A's mailbox bytes, which the pool must
-// scrub before
+// pooled POP3 server, with idle reaping on so the idle cases run too.
+// The residue window is the RETR output area at the output field —
+// principal A's mailbox bytes, which the pool must scrub before
 // principal B's handler invocation can observe them (what
 // TestPooledResidue used to check by hand).
 func TestServeConformance(t *testing.T) {
-	servetest.Run(t, conformanceApp())
+	servetest.Run(t, conformanceApp(conformanceIdle))
 }
 
 // TestClusterConformance runs the cluster battery: two pooled POP3
@@ -28,7 +29,7 @@ func TestServeConformance(t *testing.T) {
 // for authed sessions the uid) crosses in the handoff record, so the
 // client's transcript stays seamless.
 func TestClusterConformance(t *testing.T) {
-	servetest.Cluster(t, conformanceApp())
+	servetest.Cluster(t, conformanceApp(0))
 }
 
 type popConn struct {
@@ -66,17 +67,25 @@ func popCmd(c *popConn, line, wantPrefix string) error {
 	return nil
 }
 
-func conformanceApp() servetest.App {
+// conformanceIdle is the idle-reaping window the battery's pop3 runs
+// with: long beside any hold the battery keeps between two exchanges,
+// short enough that the idle cases take a fraction of a second.
+const conformanceIdle = 50 * time.Millisecond
+
+// conformanceApp is the pop3 adapter; idle is the server's IdleTimeout
+// (zero: no reaping, as the cluster battery's handoffs need).
+func conformanceApp(idle time.Duration) servetest.App {
 	cmd := popCmd
 	return servetest.App{
 		Name: "pop3",
 		Addr: "pop3:110",
+		Idle: idle,
 		New: func(root *sthread.Sthread, slots int, probe servetest.Probe) (servetest.Runtime, error) {
 			hooks := Hooks{}
 			if probe != nil {
 				hooks.Handler = func(h *sthread.Sthread, ctx *ConnContext) { probe(h, ctx.ArgAddr) }
 			}
-			return NewPooled(root, testBoxes(), slots, hooks)
+			return NewPooledConfig(root, testBoxes(), PoolConfig{Slots: slots, IdleTimeout: idle}, hooks)
 		},
 		Session: func(k *kernel.Kernel) ([]byte, error) {
 			c, err := holdPOP(k)
@@ -118,6 +127,7 @@ func conformanceApp() servetest.App {
 					return cmd(c, "QUIT", "+OK")
 				},
 				Abandon: func() error { return c.conn.Close() },
+				Ping:    func() error { return cmd(c, "USER alice", "+OK") },
 			}, nil
 		},
 		Schema: p3Schema,

@@ -219,7 +219,7 @@ func (r *Runtime[T]) HandoffPrincipal(principal string) (*HandoffRecord, error) 
 	}
 	c.hand = h
 	c.hmu.Unlock()
-	c.interrupt()
+	c.file.Close() // fails the worker's blocked read
 	<-h.done
 	return h.rec, nil
 }
@@ -295,5 +295,5 @@ func (r *Runtime[T]) ResumeConnAs(conn *netsim.Conn, principal string, rec *Hand
 	if err := r.admitResume(); err != nil {
 		return err
 	}
-	return r.serveConn(conn, principal, rec)
+	return r.session(principal, r.streamFile(conn), nil, rec)
 }

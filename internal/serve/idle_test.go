@@ -26,10 +26,10 @@ var (
 	loopSchema  = loopSchemaB.Seal()
 )
 
-// TestIdleTimeoutReapsIdleConn is the ISSUE's regression case: with
-// IdleTimeout set, an idle connection is reaped (its ServeConn returns,
-// IdleReaped counts it) while a concurrently active connection on the
-// same runtime is untouched and completes normally afterwards.
+// TestIdleTimeoutReapsIdleConn: with IdleTimeout set, an idle connection
+// is reaped (its ServeConn returns, Expired counts it) while a
+// concurrently active connection on the same runtime is untouched and
+// completes normally afterwards.
 func TestIdleTimeoutReapsIdleConn(t *testing.T) {
 	const idle = 100 * time.Millisecond
 	k := kernel.New()
@@ -154,8 +154,8 @@ func TestIdleTimeoutReapsIdleConn(t *testing.T) {
 	}
 
 	s := rt.Snapshot()
-	if s.IdleReaped < 1 {
-		t.Fatalf("IdleReaped = %d, want >= 1", s.IdleReaped)
+	if s.Expired < 1 {
+		t.Fatalf("Expired = %d, want >= 1", s.Expired)
 	}
 	if s.Served < 1 {
 		t.Fatalf("Served = %d, want >= 1 (the active session)", s.Served)
@@ -253,8 +253,8 @@ func TestIdleTimeoutRearmsActiveConn(t *testing.T) {
 	if s.IdleResched < 1 {
 		t.Fatalf("IdleResched = %d, want >= 1", s.IdleResched)
 	}
-	if s.IdleReaped != 0 {
-		t.Fatalf("IdleReaped = %d, want 0", s.IdleReaped)
+	if s.Expired != 0 {
+		t.Fatalf("Expired = %d, want 0", s.Expired)
 	}
 }
 
@@ -347,8 +347,8 @@ func TestIdleReapUsesInjectedMonotonicClock(t *testing.T) {
 	default:
 	}
 	s := rt.Snapshot()
-	if s.IdleReaped != 0 {
-		t.Fatalf("IdleReaped = %d under frozen clock, want 0", s.IdleReaped)
+	if s.Expired != 0 {
+		t.Fatalf("Expired = %d under frozen clock, want 0", s.Expired)
 	}
 	if s.IdleResched < 1 {
 		t.Fatalf("IdleResched = %d, want >= 1 (reaper fired and re-armed)", s.IdleResched)
@@ -364,8 +364,8 @@ func TestIdleReapUsesInjectedMonotonicClock(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("connection never reaped after clock advance")
 	}
-	if s := rt.Snapshot(); s.IdleReaped != 1 {
-		t.Fatalf("IdleReaped = %d, want 1", s.IdleReaped)
+	if s := rt.Snapshot(); s.Expired != 1 {
+		t.Fatalf("Expired = %d, want 1", s.Expired)
 	}
 	if s := rt.Snapshot(); s.Conns.Entries != 0 {
 		t.Fatalf("conn-table entries = %d after reap, want 0", s.Conns.Entries)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -25,11 +26,11 @@ var (
 
 type pktRig struct {
 	k  *kernel.Kernel
-	rt *PacketRuntime[int]
+	rt *Runtime[int]
 	pc *netsim.PacketConn
 }
 
-func startPacketEcho(t *testing.T, app PacketApp[int], drive func(r *pktRig)) {
+func startPacketEcho(t *testing.T, app App[int], drive func(r *pktRig)) {
 	t.Helper()
 	k := kernel.New()
 	a := sthread.Boot(k)
@@ -38,10 +39,10 @@ func startPacketEcho(t *testing.T, app PacketApp[int], drive func(r *pktRig)) {
 	quit := make(chan struct{})
 	go func() {
 		done <- a.Main(func(root *sthread.Sthread) {
-			var rt *PacketRuntime[int]
+			var rt *Runtime[int]
 			app.Name = "pktecho"
 			app.Schema = pktSchema
-			app.OnPacket = "worker"
+			app.Worker = "worker"
 			app.Gates = []gatepool.GateDef{{
 				Name: "worker",
 				Entry: func(w *sthread.Sthread, arg, _ vm.Addr) vm.Addr {
@@ -64,7 +65,7 @@ func startPacketEcho(t *testing.T, app PacketApp[int], drive func(r *pktRig)) {
 				},
 			}}
 			var err error
-			rt, err = NewPacket(root, app)
+			rt, err = New(root, app)
 			if err != nil {
 				t.Error(err)
 				close(ready)
@@ -113,7 +114,7 @@ func echoOnce(t *testing.T, cli *netsim.PacketConn, msg string) {
 }
 
 // waitSnap polls the runtime snapshot until cond holds.
-func waitSnap(t *testing.T, rt *PacketRuntime[int], what string, cond func(Snapshot) bool) Snapshot {
+func waitSnap(t *testing.T, rt *Runtime[int], what string, cond func(Snapshot) bool) Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -133,7 +134,7 @@ func waitSnap(t *testing.T, rt *PacketRuntime[int], what string, cond func(Snaps
 // packets); a silent flow expires, runs full teardown, and a later
 // packet from the same source starts a fresh flow.
 func TestPacketFlowLifecycle(t *testing.T) {
-	startPacketEcho(t, PacketApp[int]{Slots: 2, IdleTimeout: 120 * time.Millisecond},
+	startPacketEcho(t, App[int]{Slots: 2, IdleTimeout: 120 * time.Millisecond},
 		func(rig *pktRig) {
 			cli, err := rig.k.Net.DialPacket()
 			if err != nil {
@@ -152,7 +153,7 @@ func TestPacketFlowLifecycle(t *testing.T) {
 			}
 
 			// Silence: the wheel expires the flow and the worker unwinds
-			// as served (clean end). serveFlow retires the admission
+			// as served (clean end). The session retires the admission
 			// last, after the flow is gone, so wait for the whole unwind.
 			s = waitSnap(t, rig.rt, "flow expiry", func(s Snapshot) bool {
 				return s.Expired >= 1 && s.Flows == 0 && s.Inflight == 0
@@ -175,7 +176,7 @@ func TestPacketFlowLifecycle(t *testing.T) {
 
 // TestPacketPrincipals: two sources get two concurrent flows.
 func TestPacketPrincipals(t *testing.T) {
-	startPacketEcho(t, PacketApp[int]{Slots: 2, IdleTimeout: 200 * time.Millisecond},
+	startPacketEcho(t, App[int]{Slots: 2, IdleTimeout: 200 * time.Millisecond},
 		func(rig *pktRig) {
 			a, _ := rig.k.Net.DialPacket()
 			b, _ := rig.k.Net.DialPacket()
@@ -194,7 +195,7 @@ func TestPacketPrincipals(t *testing.T) {
 // TestPacketRefuse: a draining runtime answers first-contact packets
 // with the app's Refuse datagram instead of silence.
 func TestPacketRefuse(t *testing.T) {
-	app := PacketApp[int]{
+	app := App[int]{
 		Slots:       2,
 		IdleTimeout: 100 * time.Millisecond,
 		Refuse: func(payload []byte, err error) []byte {
@@ -234,7 +235,7 @@ func TestPacketRefuse(t *testing.T) {
 // flow exists, and completes once the wheel expires it — the datagram
 // analogue of "drain completes in-flight connections".
 func TestPacketDrainWaitsForExpiry(t *testing.T) {
-	startPacketEcho(t, PacketApp[int]{Slots: 2, IdleTimeout: 150 * time.Millisecond},
+	startPacketEcho(t, App[int]{Slots: 2, IdleTimeout: 150 * time.Millisecond},
 		func(rig *pktRig) {
 			cli, _ := rig.k.Net.DialPacket()
 			echoOnce(t, cli, "hold")
@@ -259,4 +260,109 @@ func TestPacketDrainWaitsForExpiry(t *testing.T) {
 			}
 			rig.rt.Undrain()
 		})
+}
+
+// TestPacketExpiryRaceLosesNoDatagram is the expiry/delivery race
+// regression test: a client that speaks again just as its flow's idle
+// window closes must always get an answer. Each query lands 4–6 ms after
+// the previous reply against a 4 ms window, so delivery races the wheel's
+// expiry hundreds of times; a datagram must either reach the live flow
+// (refreshing its stamp) or open a fresh one, never vanish into a flow
+// that expiry is closing.
+func TestPacketExpiryRaceLosesNoDatagram(t *testing.T) {
+	const queries = 400
+	startPacketEcho(t, App[int]{Slots: 2, IdleTimeout: 4 * time.Millisecond},
+		func(rig *pktRig) {
+			cli, err := rig.k.Net.DialPacket()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			replies := make(chan string, 1)
+			go func() {
+				buf := make([]byte, 64)
+				for {
+					n, _, err := cli.ReadFrom(buf)
+					if err != nil {
+						close(replies)
+						return
+					}
+					replies <- string(buf[:n])
+				}
+			}()
+			lost := 0
+			for i := 0; i < queries; i++ {
+				msg := fmt.Sprintf("q%d", i)
+				if _, err := cli.WriteTo([]byte(msg), "pkt:53"); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case got := <-replies:
+					if got != "+"+msg {
+						t.Fatalf("query %d: reply %q, want %q", i, got, "+"+msg)
+					}
+				case <-time.After(time.Second):
+					lost++
+				}
+				time.Sleep(4*time.Millisecond + time.Duration(i%3)*time.Millisecond)
+			}
+			if lost != 0 {
+				t.Fatalf("%d of %d queries got no reply: a datagram raced its flow's expiry and was dropped",
+					lost, queries)
+			}
+			s := waitSnap(t, rig.rt, "every flow to expire", func(s Snapshot) bool {
+				return s.Flows == 0 && s.Inflight == 0
+			})
+			if s.Expired == 0 || s.Expired != s.Admitted || s.Served != s.Admitted {
+				t.Fatalf("expired=%d served=%d admitted=%d, want every flow served and ended by expiry",
+					s.Expired, s.Served, s.Admitted)
+			}
+		})
+}
+
+// TestPacketNeedsIdleTimeout: a runtime without IdleTimeout could never
+// expire a flow, so it opens none — the packet loop refuses to start and
+// an injected datagram is refused rather than pinning a slot.
+func TestPacketNeedsIdleTimeout(t *testing.T) {
+	k := kernel.New()
+	a := sthread.Boot(k)
+	err := a.Main(func(root *sthread.Sthread) {
+		var refused []error
+		rt, err := New(root, App[int]{
+			Name: "pktecho", Schema: pktSchema, Worker: "worker",
+			Gates: []gatepool.GateDef{{Name: "worker",
+				Entry: func(*sthread.Sthread, vm.Addr, vm.Addr) vm.Addr { return 1 }}},
+			Refuse: func(_ []byte, err error) []byte {
+				refused = append(refused, err)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer rt.Close()
+		pc, err := root.Task.ListenPacket("pkt:53")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer pc.Close()
+		if err := rt.ServePackets(pc); err == nil {
+			t.Error("ServePackets started on a runtime without IdleTimeout")
+		}
+		rt.DeliverPacket(pc, []byte("hi"), "udp-x")
+		if err := rt.ResumeFlow(pc, "udp-y", &HandoffRecord{}); err == nil {
+			t.Error("ResumeFlow opened a flow on a runtime without IdleTimeout")
+		}
+		if s := rt.Snapshot(); s.Admitted != 0 || s.Flows != 0 || s.Pool.Busy != 0 {
+			t.Errorf("admitted=%d flows=%d busy=%d, want no flow opened", s.Admitted, s.Flows, s.Pool.Busy)
+		}
+		if len(refused) != 1 {
+			t.Errorf("Refuse called %d times, want 1", len(refused))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,22 +1,31 @@
 // Package serve is the wedge-server runtime: one home for the serving
-// machinery the pooled application studies (httpd, sshd, pop3) used to
-// re-implement by hand.
+// machinery the pooled application studies (httpd, sshd, pop3, dnsd) used
+// to re-implement by hand.
 //
 // An application is a declarative descriptor (App): the pooled gates it
-// wants every slot to carry, which gate is the per-connection worker, a
-// per-connection state type demultiplexed through gatepool.ConnTable, and
-// optional per-connection setup/teardown hooks. The runtime owns
-// everything else:
+// wants every slot to carry, which gate is the per-session worker, a
+// per-session state type demultiplexed through gatepool.ConnTable, and
+// optional per-session setup/teardown hooks. The runtime owns everything
+// else:
 //
 //   - Pool lifecycle: construction from the descriptor, hot Resize, and
 //     an auto-slots mode that re-sizes the pool whenever the host
 //     parallelism (runtime.GOMAXPROCS) changes — slot count tracks the
 //     cores that can actually run slots, not the connection count.
-//   - The accept loop (Serve) and per-connection plumbing (ServeConn):
-//     descriptor installation, lease acquisition, conn-id demux record,
-//     the worker's ring entry, and teardown in the right order.
+//   - Sessions. A session is one principal's service: one admission, one
+//     descriptor, one lease, one ring entry of the worker gate, and
+//     teardown in the right order. Two demuxes feed the one session
+//     function. Streams arrive ready-made (Serve, ServeConnAs): accept
+//     hands over one connection per principal. Datagrams arrive as single
+//     packets (ServePackets, DeliverPacket): the runtime keys each by its
+//     source address into a flow, opening the flow's session on the first
+//     packet.
+//   - Idle expiry, one mechanism for both: with App.IdleTimeout set, every
+//     read, write and delivered datagram stamps the session's conn-table
+//     entry, and one timer wheel per runtime retires sessions silent for
+//     the whole window through the normal teardown path.
 //   - A lifecycle state machine, serving → draining → closed: Drain
-//     completes in-flight connections, rejects new admissions with the
+//     completes in-flight sessions, rejects new admissions with the
 //     typed overload error, and returns only when the pool is quiescent;
 //     Undrain re-opens; Close tears everything down.
 //   - Admission control: an optionally bounded pending queue in front of
@@ -26,11 +35,11 @@
 //   - Observability: a unified Snapshot (runtime counters + pool stats +
 //     queue depth) and NUMA-style slot→CPU pin hints.
 //
-// The runtime preserves the isolation argument the three servers share:
-// per-connection state is looked up by a worker-supplied (untrusted)
-// conn id and then pinned to the invoking slot — Lookup returns state
-// only when it anchors at exactly the invocation's argument block — so a
-// compromised worker cannot reach another slot's connection.
+// The runtime preserves the isolation argument the servers share:
+// per-session state is looked up by a worker-supplied (untrusted) conn id
+// and then pinned to the invoking slot — Lookup returns state only when
+// it anchors at exactly the invocation's argument block — so a
+// compromised worker cannot reach another slot's session.
 package serve
 
 import (
@@ -117,20 +126,31 @@ func DefaultSlots() int {
 // enough that a slot's arena stays a few schema blocks.
 const DefaultBatchDepth = 16
 
-// Conn is one in-flight connection's record: the slot lease, the
-// installed descriptor, and the application's own state. Gate entries
-// reach it through Lookup; the App hooks receive it directly.
+// Conn is one in-flight session's record — a stream connection or a
+// datagram flow: the slot lease, the installed descriptor, and the
+// application's own state. Gate entries reach it through Lookup; the App
+// hooks receive it directly.
 type Conn[T any] struct {
 	Principal string
 	FD        int
 	Lease     *gatepool.Lease
 	State     T
 
-	// Resumed is true when this connection was re-admitted from a
-	// HandoffRecord (ResumeConnAs) rather than freshly accepted — the
-	// app's worker should skip protocol steps the exporting runtime
-	// already performed (greetings, auth it re-imported, ...).
+	// Resumed is true when this session was re-admitted from a
+	// HandoffRecord (ResumeConnAs, ResumeFlow) rather than freshly
+	// admitted — the app's worker should skip protocol steps the
+	// exporting runtime already performed (greetings, auth it
+	// re-imported, ...).
 	Resumed bool
+
+	// file is the session's descriptor; closing it fails the worker's
+	// blocked read, which is how both expiry and handoff unwind it.
+	file kernel.FileLike
+
+	// Idle expiry: started flips when the worker first looks the session
+	// up (its ring entry has dispatched), and timer is the pending check.
+	started atomic.Bool
+	timer   atomic.Pointer[timerwheel.Timer]
 
 	// Handoff rendezvous. hmu orders the one race that matters: a
 	// HandoffPrincipal marking the session against its normal completion.
@@ -139,14 +159,14 @@ type Conn[T any] struct {
 	hmu        sync.Mutex
 	completing bool
 	hand       *handoff
-	interrupt  func() // fails the worker's blocked read (conn close)
 }
 
 // App declares a pooled wedge application. The runtime instantiates
-// Gates on every pool slot and serves each connection with one ring
-// entry of the Worker gate; the pool writes the connection's demux id
-// and descriptor number into the entry's argument block at the Schema's
-// reserved demux words when the entry dispatches.
+// Gates on every pool slot and serves each session — a stream connection
+// or a datagram flow — with one ring entry of the Worker gate; the pool
+// writes the session's demux id and descriptor number into the entry's
+// argument block at the Schema's reserved demux words when the entry
+// dispatches.
 type App[T any] struct {
 	Name     string // pool name, sthread-name prefix, error prefix
 	Slots    int    // initial slot count (<= 0: DefaultSlots)
@@ -162,13 +182,16 @@ type App[T any] struct {
 	// Gates are the defs every slot carries. The Worker def may provide
 	// a Batch body looping over its ring entries; a def with only an
 	// Entry is wrapped in the canonical drain loop automatically.
-	Gates  []gatepool.GateDef
-	Worker string // the Gates entry invoked once per connection
+	Gates []gatepool.GateDef
+	// Worker is the Gates entry invoked once per session. On a datagram
+	// flow its descriptor reads one whole datagram per Read and sends one
+	// whole datagram back to the flow's peer per Write.
+	Worker string
 
 	// Queue bounds the admission queue: 0 admits without bound (the
 	// pool's blocking Acquire is the only backpressure), n > 0 admits at
-	// most n connections beyond the live slot count, n < 0 admits only
-	// up to the live slot count (no waiting). SetQueue adjusts it live.
+	// most n sessions beyond the live slot count, n < 0 admits only up to
+	// the live slot count (no waiting). SetQueue adjusts it live.
 	Queue int
 
 	// AutoSlots makes the slot count track DefaultSlots(): each
@@ -176,21 +199,23 @@ type App[T any] struct {
 	// the last one applied and resizes the pool when it moved.
 	AutoSlots bool
 
-	// IdleTimeout, when positive, arms idle-connection reaping: a
-	// connection with no read or write activity for this long is closed
-	// by the runtime's timer wheel (the worker's blocked read fails and
-	// the connection unwinds through the normal teardown path, so
-	// EndConn, scrubbing, and leak accounting all still run). One wheel
-	// serves the whole runtime — no goroutine or runtime timer per
-	// connection — which is what makes reaping viable at the conn counts
-	// where it matters. Zero disables reaping.
+	// IdleTimeout, when positive, arms idle expiry: a session with no
+	// read, write or delivered datagram for this long is closed by the
+	// runtime's timer wheel (the worker's blocked read fails and the
+	// session unwinds through the normal teardown path, so EndConn,
+	// scrubbing, and leak accounting all still run). A session's idle
+	// clock starts when its ring entry dispatches: waiting for a ring is
+	// not idleness. One wheel serves the whole runtime — no goroutine or
+	// runtime timer per session. Zero disables expiry, and then the
+	// runtime refuses datagram flows: there is no FIN, so a flow that
+	// could not expire would pin its slot forever.
 	IdleTimeout time.Duration
 
 	// InitConn populates c.State after the lease is acquired (the lease
 	// and its gates are available). Optional.
 	InitConn func(c *Conn[T]) error
 	// EndConn runs after the worker invocation, before the slot is
-	// released — the place to undo per-connection changes to slot-owned
+	// released — the place to undo per-session changes to slot-owned
 	// resources (sshd demotes its promoted worker here). Optional.
 	EndConn func(c *Conn[T])
 	// Finish interprets the worker invocation's result; its error is
@@ -205,14 +230,22 @@ type App[T any] struct {
 	// re-derives secret material from its own store. Optional; nil
 	// exports no app state.
 	Export func(c *Conn[T]) []byte
-	// Import restores Export's payload into a resumed connection before
-	// its worker runs. The payload arrived from another runtime and must
-	// be treated as hostile input — length- and bounds-checked like any
-	// gate argument; an error refuses the resume. Optional.
+	// Import restores Export's payload into a resumed session before its
+	// worker runs. The payload arrived from another runtime and must be
+	// treated as hostile input — length- and bounds-checked like any gate
+	// argument; an error refuses the resume. Optional.
 	Import func(c *Conn[T], rec *HandoffRecord) error
+
+	// Refuse builds the datagram sent back when a flow's first packet is
+	// refused (queue overflow, draining, closed, no IdleTimeout), so
+	// clients see overload instead of a timeout. nil, or a nil return,
+	// drops the packet silently. Streams report refusals as ServeConn's
+	// error instead.
+	Refuse func(payload []byte, err error) []byte
 }
 
-// Runtime serves one App. All methods are safe for concurrent use.
+// Runtime serves one App over streams, datagrams, or both. All methods
+// are safe for concurrent use.
 type Runtime[T any] struct {
 	root  *sthread.Sthread
 	app   App[T]
@@ -222,12 +255,6 @@ type Runtime[T any] struct {
 	// The schema's demux-word offsets, resolved once: Lookup sits on the
 	// hot path.
 	connOff, fdOff vm.Addr
-
-	// clock is the idle machinery's time source: monotonic nanoseconds
-	// (gatepool.Monotime), so an NTP wall-clock step can neither defer
-	// reaping indefinitely (step backward) nor reap live connections
-	// early (step forward). Tests inject a fake via setClock.
-	clock func() int64
 
 	mu         sync.Mutex
 	quiet      *sync.Cond // signaled when inflight drops to zero or state changes
@@ -244,11 +271,17 @@ type Runtime[T any] struct {
 	rejected    uint64
 	drains      uint64
 	autoResizes uint64
-	idleReaped  uint64
+	expired     uint64
 	idleResched uint64
 
-	// wheel drives idle reaping; nil when App.IdleTimeout is zero.
+	// wheel drives idle expiry; nil when App.IdleTimeout is zero.
 	wheel *timerwheel.Wheel
+
+	// The datagram demux: live flows by source address. fmu also orders
+	// a flow's conn-table removal against delivery (see removeIfIdle).
+	fmu     sync.Mutex
+	flows   map[string]*flow
+	packets uint64
 }
 
 // idleTick picks a wheel quantum for an idle timeout: coarse enough that
@@ -270,7 +303,7 @@ func idleTick(idle time.Duration) time.Duration {
 // pooled server would.
 func New[T any](root *sthread.Sthread, app App[T]) (*Runtime[T], error) {
 	if app.Worker == "" {
-		return nil, errors.New("serve: App.Worker must name the per-connection gate")
+		return nil, errors.New("serve: App.Worker must name the per-session gate")
 	}
 	found := false
 	for _, g := range app.Gates {
@@ -308,11 +341,11 @@ func New[T any](root *sthread.Sthread, app App[T]) (*Runtime[T], error) {
 		auto:    app.AutoSlots,
 		connOff: app.Schema.ConnIDOff(),
 		fdOff:   app.Schema.FDOff(),
-		clock:   gatepool.Monotime,
+		flows:   make(map[string]*flow),
 	}
 	if app.IdleTimeout > 0 {
-		// Touch tracking is opt-in: a runtime that never reaps skips the
-		// clock read and stamp store on every conn-table Put.
+		// Touch tracking is opt-in: a runtime that never expires skips
+		// the clock read and stamp store on every conn-table Put.
 		r.conns.TrackIdle()
 	}
 	r.quiet = sync.NewCond(&r.mu)
@@ -356,115 +389,31 @@ func New[T any](root *sthread.Sthread, app App[T]) (*Runtime[T], error) {
 }
 
 // setClock injects a monotonic time source (nanosecond readings, never
-// zero, never backwards) into the idle machinery — the reaper's elapsed
-// computation and the conn-table's touch stamps both follow it. Test
-// hook; call before serving.
-func (r *Runtime[T]) setClock(now func() int64) {
-	r.clock = now
-	r.conns.SetClock(now)
-}
+// zero, never backwards) into the idle machinery: the conn table's touch
+// stamps and the expiry checks both follow it. Test hook; call before
+// serving.
+func (r *Runtime[T]) setClock(now func() int64) { r.conns.SetClock(now) }
 
-// touchConn wraps a connection so the idle reaper can see activity:
-// every completed read or write stamps an atomic last-touch reading of
-// the runtime's monotonic clock. The stamp is monotonic nanoseconds,
-// never wall time: the old time.Now().UnixNano() stamp meant an NTP
-// step backward deferred reaping indefinitely and a step forward reaped
-// live connections early.
-type touchConn struct {
-	c   *netsim.Conn
-	now func() int64 // the runtime's monotonic clock
-	ts  atomic.Int64 // monotonic nanos of last activity
-}
-
-func newTouchConn(c *netsim.Conn, now func() int64) *touchConn {
-	t := &touchConn{c: c, now: now}
-	t.touch()
-	return t
-}
-
-func (t *touchConn) touch() { t.ts.Store(t.now()) }
-
-// idleFor is the connection's current silence, on the monotonic clock.
-func (t *touchConn) idleFor() time.Duration {
-	return time.Duration(t.now() - t.ts.Load())
-}
-
-func (t *touchConn) Read(b []byte) (int, error) {
-	n, err := t.c.Read(b)
-	if n > 0 {
-		t.touch()
-	}
-	return n, err
-}
-
-func (t *touchConn) Write(b []byte) (int, error) {
-	t.touch()
-	return t.c.Write(b)
-}
-
-func (t *touchConn) Close() error { return t.c.Close() }
-
-// armIdleReaper schedules the idle check for one connection and returns
-// the disarm function the connection's teardown must call. The wheel
-// fires at the full timeout from admission; if the connection was active
-// in the meantime the timer re-arms for the remaining window (so an
-// active connection costs one cheap wheel callback per idle period, not
-// per byte), and only a genuinely quiet connection is closed — which
-// unblocks its worker's read and sends it down the normal unwind path.
-func (r *Runtime[T]) armIdleReaper(tc *touchConn) (stop func()) {
-	idle := r.app.IdleTimeout
-	var mu sync.Mutex
-	var done bool
-	var timer *timerwheel.Timer
-	var fire func()
-	fire = func() {
-		// The clock is a dynamic function value (tests inject one), so it
-		// is read before the lock — the lockcallback discipline, and a
-		// shorter critical section. A stamp landing between the read and
-		// the lock only makes the elapsed figure conservative: the timer
-		// re-arms and the connection survives, exactly as if the activity
-		// had been observed.
-		elapsed := tc.idleFor()
-		mu.Lock()
-		if done {
-			mu.Unlock()
-			return
-		}
-		if elapsed >= idle {
-			mu.Unlock()
-			r.count(&r.idleReaped)
-			tc.c.Close()
-			return
-		}
-		timer = r.wheel.Schedule(idle-elapsed, fire)
-		mu.Unlock()
-		r.count(&r.idleResched)
-	}
-	mu.Lock()
-	timer = r.wheel.Schedule(idle, fire)
-	mu.Unlock()
-	return func() {
-		mu.Lock()
-		done = true
-		t := timer
-		mu.Unlock()
-		if t != nil {
-			t.Cancel(r.wheel)
-		}
-	}
-}
-
-// Lookup demultiplexes a gate invocation back to its connection record:
+// Lookup demultiplexes a gate invocation back to its session record:
 // the conn id is read from the invocation's argument block, resolved
 // through the table, and the result pinned to the slot — the record must
 // anchor at exactly this argument block (Lease.Arg == arg) and carry the
 // descriptor number the runtime wrote (both are worker-writable, so a
 // forged id or fd fails the pin instead of reaching another slot's
-// connection). Returns nil when the pin fails.
+// session). Returns nil when the pin fails.
+//
+// A worker looks its session up first thing in its entry, so the first
+// successful Lookup marks the entry's dispatch: under IdleTimeout it
+// stamps the session and starts its idle clock.
 func (r *Runtime[T]) Lookup(g *sthread.Sthread, arg vm.Addr) *Conn[T] {
-	c, ok := r.conns.Get(g.Load64(arg + r.connOff))
+	id := g.Load64(arg + r.connOff)
+	c, ok := r.conns.Get(id)
 	if !ok || c.Lease.Arg != arg || g.Load64(arg+r.fdOff) != uint64(c.FD) {
 		return nil
+	}
+	if r.wheel != nil && !c.started.Load() {
+		r.conns.Touch(id)
+		c.started.Store(true)
 	}
 	return c
 }
@@ -566,46 +515,96 @@ func (r *Runtime[T]) ServeConnAs(conn *netsim.Conn, principal string) error {
 	if err := r.admit(); err != nil {
 		return err
 	}
-	return r.serveConn(conn, principal, nil)
+	return r.session(principal, r.streamFile(conn), nil, nil)
 }
 
-// serveConn runs one admitted connection to its outcome. rec, when
-// non-nil, resumes a handed-off session: the connection is marked
-// Resumed and the record's app payload is imported (as hostile input)
-// before the worker runs. The admission is already counted; exactly one
-// outcome counter is incremented on the way out, in the same critical
-// section as the inflight decrement (departAs).
-func (r *Runtime[T]) serveConn(conn *netsim.Conn, principal string, rec *HandoffRecord) (reterr error) {
+// streamFile is the stream demux's descriptor: the connection itself, or
+// under IdleTimeout the connection with its reads and writes stamping the
+// session's conn-table entry.
+func (r *Runtime[T]) streamFile(conn *netsim.Conn) kernel.FileLike {
+	if r.wheel == nil {
+		return conn
+	}
+	return &stampedConn{Conn: conn, activity: activity{stamp: r.conns.Touch}}
+}
+
+// activity links a session's descriptor to its conn-table entry: use of
+// the descriptor refreshes the entry's idle stamp, which is all the
+// expiry check reads.
+type activity struct {
+	id    atomic.Uint64        // conn-table id; 0 until the session registers
+	stamp func(id uint64) bool // the runtime's ConnTable.Touch
+}
+
+func (a *activity) bind(id uint64) { a.id.Store(id) }
+func (a *activity) touch()         { a.stamp(a.id.Load()) }
+
+type stampedConn struct {
+	*netsim.Conn
+	activity
+}
+
+func (c *stampedConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	if n > 0 {
+		c.touch()
+	}
+	return n, err
+}
+
+func (c *stampedConn) Write(b []byte) (int, error) {
+	c.touch()
+	return c.Conn.Write(b)
+}
+
+// session runs one admitted session to its outcome, whichever demux
+// admitted it: one descriptor, one lease, one worker ring entry. f is the
+// datagram flow the session serves (nil for a stream), and rec, when
+// non-nil, resumes a handed-off session: it is marked Resumed and the
+// record's app payload is imported (as hostile input) before the worker
+// runs. The admission is already counted; exactly one outcome counter is
+// incremented on the way out, in the same critical section as the
+// inflight decrement (departAs). Teardown runs in reverse: EndConn,
+// conn-table removal (with the flow's demux entry), lease release (and
+// so inter-principal scrubbing), descriptor close — whether the worker
+// returned on its own or expiry or handoff closed its descriptor.
+func (r *Runtime[T]) session(principal string, file kernel.FileLike, f *flow, rec *HandoffRecord) error {
 	outcome := &r.failed
 	defer func() { r.departAs(outcome) }()
+	if f != nil {
+		defer file.Close()
+	}
 
 	root := r.root
-	var file kernel.FileLike = conn
-	if r.wheel != nil {
-		tc := newTouchConn(conn, r.clock)
-		file = tc
-		stop := r.armIdleReaper(tc)
-		defer stop()
-	}
 	fd := root.Task.InstallFD(file, kernel.FDRW)
 	defer root.Task.CloseFD(fd)
 
+	// The conn-table entry (and a flow's demux entry) is removed before
+	// the lease is released: an id must never outlive the ring position
+	// it pins to, which the next principal may lease.
+	var id uint64
+	var lease *gatepool.Lease
+	defer func() {
+		r.unregister(id, f)
+		if lease != nil {
+			lease.Release()
+		}
+	}()
 	lease, err := r.pool.Acquire(principal)
 	if err != nil {
 		return fmt.Errorf("%s: acquire: %w", r.app.Name, err)
 	}
-	defer lease.Release()
 
 	c := &Conn[T]{Principal: principal, FD: fd, Lease: lease,
-		Resumed: rec != nil, interrupt: func() { conn.Close() }}
+		Resumed: rec != nil, file: file}
 	if r.app.InitConn != nil {
 		if err := r.app.InitConn(c); err != nil {
 			return fmt.Errorf("%s: init: %w", r.app.Name, err)
 		}
 	}
-	// EndConn unwinds before the lease release above, so per-connection
-	// changes to slot-owned resources are undone before another
-	// principal can lease the slot.
+	// EndConn unwinds before the lease release, so per-session changes to
+	// slot-owned resources are undone before another principal can lease
+	// the slot.
 	if r.app.EndConn != nil {
 		defer r.app.EndConn(c)
 	}
@@ -614,8 +613,18 @@ func (r *Runtime[T]) serveConn(conn *netsim.Conn, principal string, rec *Handoff
 			return fmt.Errorf("%s: import: %w", r.app.Name, err)
 		}
 	}
-	id := r.conns.Put(c)
-	defer r.conns.Delete(id)
+	id = r.conns.Put(c)
+	if r.wheel != nil {
+		// Under IdleTimeout every session file stamps its entry: a
+		// stampedConn or a flow.
+		file.(interface{ bind(uint64) }).bind(id)
+		r.watch(c, id, f)
+		defer func() {
+			if t := c.timer.Load(); t != nil {
+				t.Cancel(r.wheel)
+			}
+		}()
+	}
 
 	// Commit the ring entry and await completion. The pool writes the
 	// demux words at dispatch, after the principal-switch scrub pass, so
@@ -644,6 +653,74 @@ func (r *Runtime[T]) serveConn(conn *netsim.Conn, principal string, rec *Handoff
 	}
 	outcome = &r.served
 	return nil
+}
+
+// unregister removes a session's conn-table entry; a flow leaves the
+// demux map in the same critical section, so a later datagram from its
+// peer opens a fresh flow instead of landing in a dying one.
+func (r *Runtime[T]) unregister(id uint64, f *flow) {
+	if f == nil {
+		r.conns.Delete(id)
+		return
+	}
+	r.fmu.Lock()
+	r.conns.Delete(id)
+	r.unmapLocked(f)
+	r.fmu.Unlock()
+}
+
+// watch arms a session's idle check on the runtime's wheel. The check
+// fires a full window after registration. A session whose entry has not
+// dispatched yet is waiting for a ring, not idle: its check re-arms for
+// the full window. A dispatched session silent for the whole window is
+// removed from the conn table — atomically against Touch, and for a flow
+// against delivery — and its descriptor closed; the worker's unwind does
+// every piece of real teardown. An active session re-arms for its
+// remaining window, so it costs one cheap wheel callback per idle period,
+// not per byte. A check that finds the entry gone leaves the session to
+// its own teardown.
+func (r *Runtime[T]) watch(c *Conn[T], id uint64, f *flow) {
+	idle := r.app.IdleTimeout
+	var fire func()
+	fire = func() {
+		started := c.started.Load()
+		if started && r.removeIfIdle(id, f) {
+			r.count(&r.expired)
+			c.file.Close()
+			return
+		}
+		idleFor, ok := r.conns.IdleFor(id)
+		if !ok {
+			return
+		}
+		remain := idle
+		if started {
+			remain = max(idle-idleFor, r.wheel.Tick())
+		}
+		c.timer.Store(r.wheel.Schedule(remain, fire))
+		r.count(&r.idleResched)
+	}
+	c.timer.Store(r.wheel.Schedule(idle, fire))
+}
+
+// removeIfIdle expires a silent session's conn-table entry. For a flow
+// the removal and the demux-map removal are one critical section under
+// fmu, which delivery also holds: a datagram racing the expiry either
+// reaches the live flow first (its stamp then keeps the flow alive) or
+// finds no flow and opens a fresh one. It is never queued into a flow
+// that is about to close.
+func (r *Runtime[T]) removeIfIdle(id uint64, f *flow) bool {
+	if f == nil {
+		_, ok := r.conns.RemoveIfIdle(id, r.app.IdleTimeout)
+		return ok
+	}
+	r.fmu.Lock()
+	defer r.fmu.Unlock()
+	_, ok := r.conns.RemoveIfIdle(id, r.app.IdleTimeout)
+	if ok {
+		r.unmapLocked(f)
+	}
+	return ok
 }
 
 // Serve accepts connections until the listener closes, dispatching each
@@ -696,10 +773,10 @@ func (r *Runtime[T]) SetAutoSlots(on bool) {
 }
 
 // Drain moves the runtime to StateDraining: new admissions fail with the
-// typed overload error, in-flight connections run to completion, and the
-// call returns only when the pool is quiescent (every slot released). A
-// concurrent Undrain cancels the drain; Drain on a closed runtime is a
-// no-op.
+// typed overload error, in-flight sessions run to completion (flows until
+// they expire), and the call returns only when the pool is quiescent
+// (every slot released). A concurrent Undrain cancels the drain; Drain on
+// a closed runtime is a no-op.
 func (r *Runtime[T]) Drain() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -793,7 +870,7 @@ type SlotPin struct {
 type Snapshot struct {
 	App      string
 	State    State
-	Inflight int // admitted connections not yet completed
+	Inflight int // admitted sessions not yet completed
 	Waiting  int // admitted but not yet holding a ring entry
 	Queue    int // configured admission bound (App.Queue semantics)
 
@@ -813,18 +890,19 @@ type Snapshot struct {
 	Rejected uint64
 	Drains   uint64
 
-	// Idle-expiry counters. IdleReaped counts stream connections the
-	// wheel closed for inactivity; IdleResched counts timer re-arms for
-	// connections that were active when their check fired. The datagram
-	// runtime fills the remaining three: Packets is total datagrams
-	// through the packet loop, Flows is the current live flow count, and
-	// Expired counts flows ended by idle expiry (each one ran the full
-	// EndConn/scrub/teardown path).
-	IdleReaped  uint64
-	IdleResched uint64
-	Packets     uint64
-	Flows       int
+	// Idle expiry, on either transport. Expired counts sessions the
+	// wheel ended for inactivity — stream connections and datagram flows
+	// alike, each through the full EndConn/scrub/teardown path, and each
+	// also counted under its ledger outcome. IdleResched counts re-arms
+	// of checks that found their session active or still waiting for a
+	// ring.
 	Expired     uint64
+	IdleResched uint64
+
+	// The datagram demux: Packets is total datagrams delivered, Flows the
+	// current live flow count.
+	Packets uint64
+	Flows   int
 
 	// Conns is the conn-table occupancy census: live entries, shard
 	// count, deepest shard, slot capacity, and bucket-array growths.
@@ -846,11 +924,14 @@ type Snapshot struct {
 // runtime, so taking their internal locks under r.mu cannot invert.)
 func (r *Runtime[T]) Snapshot() Snapshot {
 	procs := runtime.GOMAXPROCS(0)
+	r.fmu.Lock()
+	flows, packets := len(r.flows), r.packets
+	r.fmu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ps := r.pool.Stats()
 	cs := r.conns.Stats()
-	// Waiting is connections admitted but holding no ring entry yet:
+	// Waiting is sessions admitted but holding no ring entry yet:
 	// blocked in Acquire or queued in the pool for a free ring. A bound
 	// entry never waits behind another body, so it counts as serviced.
 	waiting := r.inflight
@@ -875,8 +956,10 @@ func (r *Runtime[T]) Snapshot() Snapshot {
 		Rejected: r.rejected,
 		Drains:   r.drains,
 
-		IdleReaped:  r.idleReaped,
+		Expired:     r.expired,
 		IdleResched: r.idleResched,
+		Packets:     packets,
+		Flows:       flows,
 
 		Conns: cs,
 		Pool:  ps,

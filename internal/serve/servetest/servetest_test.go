@@ -2,6 +2,7 @@ package servetest_test
 
 import (
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -15,11 +16,11 @@ import (
 	"wedge/internal/vm"
 )
 
-// The battery's self-test: a minimal echo application — greet, read one
-// payload byte, stash it in the argument block (the planted residue),
-// echo it back — run through the full conformance suite. This is the
-// fixture that proves the harness itself is sound before the four real
-// applications rely on it.
+// The battery's self-test: a minimal echo application — greet, then echo
+// every payload back, stashing its last byte in the argument block (the
+// planted residue) — run through the full conformance suite over both
+// transports. This is the fixture that proves the harness itself is sound
+// before the real applications rely on it.
 var (
 	echoSchemaB = gateabi.NewSchema("echo")
 	_           = gateabi.ConnID(echoSchemaB)
@@ -29,7 +30,12 @@ var (
 	echoSchema  = echoSchemaB.Seal()
 )
 
-// echoState is the per-connection app state. greeted must survive a
+// echoIdle is the echo runtime's idle window: short, because datagram
+// sessions end only by expiry and the battery waits for every one, yet
+// several times any hold the battery keeps between two exchanges.
+const echoIdle = 30 * time.Millisecond
+
+// echoState is the per-session app state. greeted must survive a
 // cluster handoff — a resumed worker re-enters its invocation from the
 // top, and greeting the client a second time would corrupt the
 // transcript the director is relaying — so it rides in the handoff
@@ -43,14 +49,15 @@ type echoServer struct {
 	*serve.Runtime[echoState]
 }
 
-func newEcho(root *sthread.Sthread, slots int, probe servetest.Probe) (servetest.Runtime, error) {
+func newEcho(root *sthread.Sthread, slots int, idle time.Duration, probe servetest.Probe) (servetest.Runtime, error) {
 	srv := &echoServer{}
 	var err error
 	srv.Runtime, err = serve.New(root, serve.App[echoState]{
-		Name:   "echo",
-		Slots:  slots,
-		Schema: echoSchema,
-		Worker: "worker",
+		Name:        "echo",
+		Slots:       slots,
+		Schema:      echoSchema,
+		Worker:      "worker",
+		IdleTimeout: idle,
 		Export: func(c *serve.Conn[echoState]) []byte {
 			if c.State.greeted {
 				return []byte{1}
@@ -64,6 +71,7 @@ func newEcho(root *sthread.Sthread, slots int, probe servetest.Probe) (servetest
 			c.State.greeted = len(rec.State) == 1 && rec.State[0] == 1
 			return nil
 		},
+		Refuse: func([]byte, error) []byte { return []byte{'R'} },
 		Gates: []gatepool.GateDef{{
 			Name: "worker",
 			Entry: func(w *sthread.Sthread, arg, _ vm.Addr) vm.Addr {
@@ -80,15 +88,17 @@ func newEcho(root *sthread.Sthread, slots int, probe servetest.Probe) (servetest
 					}
 					c.State.greeted = true
 				}
-				buf := make([]byte, 1)
-				if _, err := w.Task.ReadFD(c.FD, buf); err != nil {
-					return 0
+				buf := make([]byte, 64)
+				for {
+					n, err := w.Task.ReadFD(c.FD, buf)
+					if err != nil || n == 0 {
+						return 1 // the client closed, or expiry or a handoff closed the session
+					}
+					echoResidue.Store(w, arg, uint64(buf[n-1])) // plant the residue
+					if _, err := w.Task.WriteFD(c.FD, buf[:n]); err != nil {
+						return 0
+					}
 				}
-				echoResidue.Store(w, arg, uint64(buf[0])) // plant the residue
-				if _, err := w.Task.WriteFD(c.FD, buf); err != nil {
-					return 0
-				}
-				return 1
 			},
 		}},
 	})
@@ -98,85 +108,162 @@ func newEcho(root *sthread.Sthread, slots int, probe servetest.Probe) (servetest
 	return srv, nil
 }
 
-// holdEcho dials and reads the greeting — the worker is then provably in
-// flight, parked on the payload read.
-func holdEcho(k *kernel.Kernel) (*netsim.Conn, error) {
-	conn, err := k.Net.Dial("echo:7")
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if buf[0] != '>' {
-		conn.Close()
-		return nil, fmt.Errorf("greeting = %q, want '>'", buf[0])
-	}
-	return conn, nil
+// echoLeg is one echo client over either transport: one byte per
+// exchange, a connection's bytes or one datagram each.
+type echoLeg interface {
+	send(b byte) error
+	recv() (byte, error)
+	io.Closer
 }
 
-func finishEcho(conn *netsim.Conn) error {
-	defer conn.Close()
-	if _, err := conn.Write([]byte{'S'}); err != nil {
-		return err
-	}
+type streamLeg struct{ c *netsim.Conn }
+
+func (l streamLeg) send(b byte) error { _, err := l.c.Write([]byte{b}); return err }
+func (l streamLeg) Close() error      { return l.c.Close() }
+func (l streamLeg) recv() (byte, error) {
 	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err != nil {
+	_, err := io.ReadFull(l.c, buf)
+	return buf[0], err
+}
+
+type datagramLeg struct {
+	pc   *netsim.PacketConn
+	addr string
+}
+
+func (l datagramLeg) send(b byte) error { _, err := l.pc.WriteTo([]byte{b}, l.addr); return err }
+func (l datagramLeg) Close() error      { return l.pc.Close() }
+func (l datagramLeg) recv() (byte, error) {
+	buf := make([]byte, 64)
+	n, _, err := l.pc.ReadFrom(buf)
+	if err == nil && n != 1 {
+		err = fmt.Errorf("datagram of %d bytes, want 1", n)
+	}
+	return buf[0], err
+}
+
+// exchange sends b and expects it echoed.
+func exchange(l echoLeg, b byte) error {
+	if err := l.send(b); err != nil {
 		return err
 	}
-	if buf[0] != 'S' {
-		return fmt.Errorf("echoed %q, want 'S'", buf[0])
+	got, err := l.recv()
+	if err != nil {
+		return err
+	}
+	if got != b {
+		return fmt.Errorf("echoed %q, want %q", got, b)
 	}
 	return nil
 }
 
+// holdEcho opens a leg, says hello and reads the greeting and the echo —
+// the worker is then provably in flight, parked on its next read. (On
+// datagrams the hello is what opens the flow.)
+func holdEcho(k *kernel.Kernel, tr servetest.Transport) (echoLeg, error) {
+	var l echoLeg
+	if tr == servetest.Datagram {
+		pc, err := k.Net.DialPacket()
+		if err != nil {
+			return nil, err
+		}
+		l = datagramLeg{pc, "echo:7"}
+	} else {
+		c, err := k.Net.Dial("echo:7")
+		if err != nil {
+			return nil, err
+		}
+		l = streamLeg{c}
+	}
+	if err := l.send('h'); err != nil {
+		l.Close()
+		return nil, err
+	}
+	if g, err := l.recv(); err != nil || g != '>' {
+		l.Close()
+		return nil, fmt.Errorf("greeting %q, %v; want '>'", g, err)
+	}
+	if err := exchangeTail(l, 'h'); err != nil {
+		l.Close()
+		return nil, err
+	}
+	return l, nil
+}
+
+// exchangeTail reads the echo of an already-sent byte.
+func exchangeTail(l echoLeg, b byte) error {
+	got, err := l.recv()
+	if err != nil {
+		return err
+	}
+	if got != b {
+		return fmt.Errorf("echoed %q, want %q", got, b)
+	}
+	return nil
+}
+
+func finishEcho(l echoLeg) error {
+	defer l.Close()
+	return exchange(l, 'S')
+}
+
 // TestEchoChaos: the bounded-duration chaos smoke — random Drain /
 // Undrain / Resize / SetQueue against the echo app under continuous
-// client load, asserting no task/tag leaks and a consistent final
-// Snapshot.
+// client load, on both transports, asserting no task/tag leaks and a
+// consistent final Snapshot.
 func TestEchoChaos(t *testing.T) {
 	d := 2 * time.Second
 	if testing.Short() {
 		d = 200 * time.Millisecond
 	}
-	servetest.Chaos(t, echoApp(), d)
+	servetest.Chaos(t, echoApp(servetest.Stream, echoIdle), d)
+	t.Run("Datagram", func(t *testing.T) { servetest.Chaos(t, echoApp(servetest.Datagram, echoIdle), d) })
 }
 
+// TestEchoConformance runs the battery over streams, then over datagrams.
 func TestEchoConformance(t *testing.T) {
-	servetest.Run(t, echoApp())
+	servetest.Run(t, echoApp(servetest.Stream, echoIdle))
+	t.Run("Datagram", func(t *testing.T) { servetest.Run(t, echoApp(servetest.Datagram, echoIdle)) })
 }
 
 // TestEchoCluster: the cluster battery's self-test — two echo runtimes
 // behind a director, one killed while it holds a session mid-protocol.
+// No idle expiry: a handoff keeps the held session silent for as long as
+// the director takes.
 func TestEchoCluster(t *testing.T) {
-	servetest.Cluster(t, echoApp())
+	servetest.Cluster(t, echoApp(servetest.Stream, 0))
 }
 
-func echoApp() servetest.App {
+// echoApp is the echo adapter for one transport; idle is the runtime's
+// IdleTimeout (zero: none, which only streams allow).
+func echoApp(tr servetest.Transport, idle time.Duration) servetest.App {
 	return servetest.App{
-		Name: "echo",
-		Addr: "echo:7",
-		New:  newEcho,
+		Name:      "echo",
+		Addr:      "echo:7",
+		Transport: tr,
+		Idle:      idle,
+		New: func(root *sthread.Sthread, slots int, probe servetest.Probe) (servetest.Runtime, error) {
+			return newEcho(root, slots, idle, probe)
+		},
 		Session: func(k *kernel.Kernel) ([]byte, error) {
-			conn, err := holdEcho(k)
+			l, err := holdEcho(k, tr)
 			if err != nil {
 				return nil, err
 			}
-			if err := finishEcho(conn); err != nil {
+			if err := finishEcho(l); err != nil {
 				return nil, err
 			}
 			return []byte{'S'}, nil
 		},
 		Hold: func(k *kernel.Kernel) (*servetest.Held, error) {
-			conn, err := holdEcho(k)
+			l, err := holdEcho(k, tr)
 			if err != nil {
 				return nil, err
 			}
 			return &servetest.Held{
-				Finish:  func() error { return finishEcho(conn) },
-				Abandon: func() error { return conn.Close() },
+				Finish:  func() error { return finishEcho(l) },
+				Abandon: l.Close,
+				Ping:    func() error { return exchange(l, 'a') },
 			}, nil
 		},
 		Schema: echoSchema,

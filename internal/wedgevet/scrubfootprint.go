@@ -10,9 +10,9 @@
 // schemas silently re-opens the §3.3 residue leak. This analyzer closes
 // the loop statically:
 //
-//   - at every registration site (serve.App, serve.PacketApp,
-//     gatepool.Config composite literals with a Schema field), the
-//     registered schema is resolved to its builder;
+//   - at every registration site (serve.App and gatepool.Config
+//     composite literals with a Schema field), the registered schema is
+//     resolved to its builder;
 //   - every gate entry reachable from the site — method values, named
 //     functions, inline literals, plus their same-package callees — is
 //     checked: each handle applied to an argument-block address must
@@ -575,8 +575,8 @@ func (w *schemaWorld) exportFacts() {
 	}
 }
 
-// checkRegistrations finds serve.App / serve.PacketApp / gatepool.Config
-// composite literals and verifies every gate entry's (and worker Batch
+// checkRegistrations finds serve.App / gatepool.Config composite
+// literals and verifies every gate entry's (and worker Batch
 // body's) footprint against the registered schema.
 func (w *schemaWorld) checkRegistrations(file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -638,8 +638,8 @@ func (w *schemaWorld) checkRegistrations(file *ast.File) {
 	})
 }
 
-// isRegistrationStruct matches serve.App[T], serve.PacketApp[T], and
-// gatepool.Config composite literals.
+// isRegistrationStruct matches serve.App[T] and gatepool.Config
+// composite literals.
 func isRegistrationStruct(pass *Pass, lit *ast.CompositeLit) bool {
 	tv, ok := pass.TypesInfo.Types[lit]
 	if !ok {
@@ -655,7 +655,7 @@ func isRegistrationStruct(pass *Pass, lit *ast.CompositeLit) bool {
 	}
 	path := obj.Pkg().Path()
 	switch obj.Name() {
-	case "App", "PacketApp":
+	case "App":
 		return strings.HasSuffix(path, "internal/serve")
 	case "Config":
 		return strings.HasSuffix(path, "internal/gatepool")

@@ -1,5 +1,5 @@
-// Stub of wedge/internal/serve for wedgevet golden tests: the two
-// registration structs scrubfootprint anchors on.
+// Stub of wedge/internal/serve for wedgevet golden tests: the
+// registration struct scrubfootprint anchors on.
 package serve
 
 import (
@@ -14,12 +14,4 @@ type App[T any] struct {
 	Schema   *gateabi.Schema
 	Gates    []gatepool.GateDef
 	Worker   string
-}
-
-type PacketApp[T any] struct {
-	Name     string
-	Slots    int
-	Schema   *gateabi.Schema
-	OnPacket string
-	Gates    []gatepool.GateDef
 }
