@@ -30,6 +30,7 @@
 package dnsd
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
@@ -165,8 +166,11 @@ func NewPooled(root *sthread.Sthread, key *rsa.PrivateKey, zone []Record, cfg Co
 	}
 	r := &Resolver{root: root, hooks: cfg.Hooks}
 	r.bufs.New = func() any { return make([]byte, maxDatagram) }
-	var err error
-	if r.zoneTag, r.zoneAddr, err = placeBlob(root, marshalZone(key, zone)); err != nil {
+	blob, err := marshalZone(key, zone)
+	if err != nil {
+		return nil, err
+	}
+	if r.zoneTag, r.zoneAddr, err = placeBlob(root, blob); err != nil {
 		return nil, err
 	}
 	idle := cfg.IdleTimeout
@@ -353,30 +357,31 @@ func (r *Resolver) reply(w *sthread.Sthread, fd int, status byte, name, value, s
 	w.Task.WriteFD(fd, appendAnswer(nil, status, name, value, sig))
 }
 
-// resolveEntry is the zone compartment: parse the blob (records and
-// key), look the query name up, and sign status, name, and value as one
-// message. The worker supplies only the name and receives only the
-// finished, signed answer — it cannot steer what gets signed.
+// resolveEntry is the zone compartment: check the query name, look it up
+// in the zone blob's record table, build the key from the blob, and sign
+// status, name, and value as one message. The name is checked before the
+// blob is read, so a malformed call costs no key construction. The worker
+// supplies only the name and receives only the finished, signed answer —
+// it cannot steer what gets signed.
 func (r *Resolver) resolveEntry(g *sthread.Sthread, arg, trusted vm.Addr) vm.Addr {
 	if r.hooks.Resolve != nil {
 		r.hooks.Resolve()
-	}
-	priv, zone, err := parseZone(loadBlob(g, trusted))
-	if err != nil {
-		return 0
 	}
 	name, err := fQName.Load(g, arg)
 	if err != nil || len(name) == 0 {
 		return 0
 	}
+	key, value, found, err := lookupZone(loadBlob(g, trusted), name)
+	if err != nil {
+		return 0
+	}
+	priv, err := minissl.UnmarshalPrivateKey(key)
+	if err != nil {
+		return 0
+	}
 	status := StatusNXDomain
-	var value []byte
-	for _, rec := range zone {
-		if rec.Name == string(name) {
-			status = StatusNoError
-			value = []byte(rec.Value)
-			break
-		}
+	if found {
+		status = StatusNoError
 	}
 	sig, err := signAnswer(priv, status, name, value)
 	if err != nil {
@@ -451,9 +456,14 @@ func signAnswer(priv *rsa.PrivateKey, status byte, name, value []byte) ([]byte, 
 // ---- zone blob -------------------------------------------------------------
 
 // marshalZone packs the signing key and the records into the one blob
-// that lives behind the resolve gate's tag.
-func marshalZone(priv *rsa.PrivateKey, zone []Record) []byte {
-	key := minissl.MarshalPrivateKey(priv)
+// that lives behind the resolve gate's tag: the length-prefixed key blob
+// (minissl's, CRT values included, validated as it is built), then the
+// record count, then each record as a length-prefixed name and value.
+func marshalZone(priv *rsa.PrivateKey, zone []Record) ([]byte, error) {
+	key, err := minissl.MarshalPrivateKey(priv)
+	if err != nil {
+		return nil, err
+	}
 	b := le64(nil, len(key))
 	b = append(b, key...)
 	b = le64(b, len(zone))
@@ -463,37 +473,42 @@ func marshalZone(priv *rsa.PrivateKey, zone []Record) []byte {
 		b = le64(b, len(rec.Value))
 		b = append(b, rec.Value...)
 	}
-	return b
+	return b, nil
 }
 
 var errZone = errors.New("dnsd: malformed zone blob")
 
-func parseZone(b []byte) (*rsa.PrivateKey, []Record, error) {
-	key, b, err := cut(b)
+// lookupZone walks a zone blob in place and returns its key bytes and
+// the value of the first record named name (the first wins, as in
+// Monolithic.answer). Every length is checked against the bytes left,
+// across the whole table rather than only up to the match, and the
+// table must end the blob: a truncated blob fails every lookup.
+func lookupZone(blob, name []byte) (key, value []byte, found bool, err error) {
+	key, b, err := cut(blob)
 	if err != nil {
-		return nil, nil, err
-	}
-	priv, err := minissl.UnmarshalPrivateKey(key)
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	if len(b) < 8 {
-		return nil, nil, errZone
+		return nil, nil, false, errZone
 	}
 	count := binary.LittleEndian.Uint64(b)
 	b = b[8:]
-	zone := make([]Record, 0, count)
 	for i := uint64(0); i < count; i++ {
-		var name, value []byte
-		if name, b, err = cut(b); err != nil {
-			return nil, nil, err
+		var rn, rv []byte
+		if rn, b, err = cut(b); err != nil {
+			return nil, nil, false, err
 		}
-		if value, b, err = cut(b); err != nil {
-			return nil, nil, err
+		if rv, b, err = cut(b); err != nil {
+			return nil, nil, false, err
 		}
-		zone = append(zone, Record{Name: string(name), Value: string(value)})
+		if !found && bytes.Equal(rn, name) {
+			value, found = rv, true
+		}
 	}
-	return priv, zone, nil
+	if len(b) != 0 {
+		return nil, nil, false, errZone
+	}
+	return key, value, found, nil
 }
 
 func le64(b []byte, n int) []byte {

@@ -294,31 +294,3 @@ func TestMonolithic(t *testing.T) {
 		}
 	}
 }
-
-// TestZoneRoundTrip: the blob codec inverts.
-func TestZoneRoundTrip(t *testing.T) {
-	key := testZoneKey(t)
-	zone := testZone()
-	priv, got, err := parseZone(marshalZone(key, zone))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if priv.D.Cmp(key.D) != 0 {
-		t.Fatal("private key did not round-trip")
-	}
-	if len(got) != len(zone) {
-		t.Fatalf("records = %d, want %d", len(got), len(zone))
-	}
-	for i := range zone {
-		if got[i] != zone[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], zone[i])
-		}
-	}
-	// Truncations fail, never fault.
-	blob := marshalZone(key, zone)
-	for cut := 0; cut < len(blob); cut += 7 {
-		if _, _, err := parseZone(blob[:cut]); err == nil && cut < len(blob) {
-			t.Fatalf("truncated blob (%d bytes) parsed", cut)
-		}
-	}
-}

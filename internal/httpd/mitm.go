@@ -69,8 +69,11 @@ func NewMITM(root *sthread.Sthread, docroot string, priv *rsa.PrivateKey, cache 
 	if cache {
 		m.cache = minissl.NewSessionCache()
 	}
-	var err error
-	if m.privTag, m.privAddr, err = placeBlob(root, minissl.MarshalPrivateKey(priv)); err != nil {
+	keyBlob, err := minissl.MarshalPrivateKey(priv)
+	if err != nil {
+		return nil, err
+	}
+	if m.privTag, m.privAddr, err = placeBlob(root, keyBlob); err != nil {
 		return nil, err
 	}
 	if m.pubTag, m.pubAddr, err = placeBlob(root, minissl.MarshalPublicKey(&priv.PublicKey)); err != nil {
@@ -168,12 +171,12 @@ func (m *MITM) makeSetupGate(state *setupGateState, sess vm.Addr) sthread.GateFu
 			if state.resumed {
 				return 0
 			}
-			priv, err := minissl.UnmarshalPrivateKey(readBlob(g, trusted))
-			if err != nil {
-				return 0
-			}
 			ct, err := fData.Load(g, arg)
 			if err != nil || len(ct) == 0 {
+				return 0
+			}
+			priv, err := minissl.UnmarshalPrivateKey(readBlob(g, trusted))
+			if err != nil {
 				return 0
 			}
 			premaster, err := minissl.DecryptPremaster(priv, ct)

@@ -38,7 +38,10 @@ func NewMonolithic(root *sthread.Sthread, docroot string, priv *rsa.PrivateKey, 
 		m.cache = minissl.NewSessionCache()
 	}
 	// Place the key bytes in plain (untagged, but root-visible) memory.
-	der := minissl.MarshalPrivateKey(priv)
+	der, err := minissl.MarshalPrivateKey(priv)
+	if err != nil {
+		return nil, err
+	}
 	addr, err := root.Malloc(len(der))
 	if err != nil {
 		return nil, err

@@ -76,8 +76,11 @@ func NewPooled(root *sthread.Sthread, docroot string, priv *rsa.PrivateKey, cach
 	if cache {
 		p.cache = minissl.NewSessionCache()
 	}
-	var err error
-	if p.privTag, p.privAddr, err = placeBlob(root, minissl.MarshalPrivateKey(priv)); err != nil {
+	keyBlob, err := minissl.MarshalPrivateKey(priv)
+	if err != nil {
+		return nil, err
+	}
+	if p.privTag, p.privAddr, err = placeBlob(root, keyBlob); err != nil {
 		return nil, err
 	}
 	if p.pubTag, p.pubAddr, err = placeBlob(root, minissl.MarshalPublicKey(&priv.PublicKey)); err != nil {

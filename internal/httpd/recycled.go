@@ -61,8 +61,11 @@ func NewRecycled(root *sthread.Sthread, docroot string, priv *rsa.PrivateKey, ca
 	if cache {
 		r.cache = minissl.NewSessionCache()
 	}
-	var err error
-	if r.privTag, r.privAddr, err = placeBlob(root, minissl.MarshalPrivateKey(priv)); err != nil {
+	keyBlob, err := minissl.MarshalPrivateKey(priv)
+	if err != nil {
+		return nil, err
+	}
+	if r.privTag, r.privAddr, err = placeBlob(root, keyBlob); err != nil {
 		return nil, err
 	}
 	if r.pubTag, r.pubAddr, err = placeBlob(root, minissl.MarshalPublicKey(&priv.PublicKey)); err != nil {

@@ -46,8 +46,11 @@ func NewSimple(root *sthread.Sthread, docroot string, priv *rsa.PrivateKey, cach
 	if cache {
 		s.cache = minissl.NewSessionCache()
 	}
-	var err error
-	if s.privTag, s.privAddr, err = placeBlob(root, minissl.MarshalPrivateKey(priv)); err != nil {
+	keyBlob, err := minissl.MarshalPrivateKey(priv)
+	if err != nil {
+		return nil, err
+	}
+	if s.privTag, s.privAddr, err = placeBlob(root, keyBlob); err != nil {
 		return nil, err
 	}
 	if s.pubTag, s.pubAddr, err = placeBlob(root, minissl.MarshalPublicKey(&priv.PublicKey)); err != nil {
@@ -136,12 +139,12 @@ func setupOps(g *sthread.Sthread, arg, trusted vm.Addr, state *setupGateState, c
 		if state.resumed {
 			return 0 // protocol violation
 		}
-		priv, err := minissl.UnmarshalPrivateKey(readBlob(g, trusted))
-		if err != nil {
-			return 0
-		}
 		ct, err := fData.Load(g, arg)
 		if err != nil || len(ct) == 0 {
+			return 0
+		}
+		priv, err := minissl.UnmarshalPrivateKey(readBlob(g, trusted))
+		if err != nil {
 			return 0
 		}
 		premaster, err := minissl.DecryptPremaster(priv, ct)

@@ -390,46 +390,6 @@ func TestSessionCacheMiss(t *testing.T) {
 	}
 }
 
-// TestPrivateKeyRoundTrip: the serialization used to place the server key
-// in tagged memory reproduces a working key, and corrupt blobs are
-// rejected.
-func TestPrivateKeyRoundTrip(t *testing.T) {
-	priv := serverKey(t)
-	blob := MarshalPrivateKey(priv)
-	got, err := UnmarshalPrivateKey(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N.Cmp(priv.N) != 0 || got.D.Cmp(priv.D) != 0 || got.E != priv.E {
-		t.Fatal("key fields changed in round trip")
-	}
-	// The recovered key actually decrypts.
-	pm, err := NewPremaster(bytes.NewReader(bytes.Repeat([]byte{3}, PremasterLen)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := EncryptPremaster(&priv.PublicKey, pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecryptPremaster(got, ct)
-	if err != nil || back != pm {
-		t.Fatalf("recovered key failed to decrypt: %v", err)
-	}
-	// Truncations are rejected, never panic.
-	for _, n := range []int{0, 3, 4, len(blob) / 2, len(blob) - 1} {
-		if _, err := UnmarshalPrivateKey(blob[:n]); err == nil {
-			t.Errorf("truncated blob (%d bytes) accepted", n)
-		}
-	}
-	// A corrupted prime fails validation rather than yielding a wrong key.
-	bad := append([]byte(nil), blob...)
-	bad[len(bad)-1] ^= 0xFF
-	if _, err := UnmarshalPrivateKey(bad); err == nil {
-		t.Error("corrupted key blob accepted")
-	}
-}
-
 // TestRecordCoderSeqPositioning: SetSeqs rebuilds a coder mid-stream, the
 // partitioned servers' pattern for persisting record state in tagged
 // memory between callgate invocations.

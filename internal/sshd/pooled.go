@@ -85,8 +85,11 @@ func poolWorker(l *gatepool.Lease, name string) func() *sthread.Sthread {
 // /var/empty.
 func NewPooledWedge(root *sthread.Sthread, cfg ServerConfig, slots int, hooks WedgeHooks) (*PooledWedge, error) {
 	w := &PooledWedge{root: root, cfg: cfg, hooks: hooks}
-	var err error
-	if w.hostTag, w.hostAddr, err = placeSSHBlob(root, minissl.MarshalPrivateKey(cfg.HostKey)); err != nil {
+	keyBlob, err := minissl.MarshalPrivateKey(cfg.HostKey)
+	if err != nil {
+		return nil, err
+	}
+	if w.hostTag, w.hostAddr, err = placeSSHBlob(root, keyBlob); err != nil {
 		return nil, err
 	}
 	if w.pubTag, w.pubAddr, err = placeSSHBlob(root, minissl.MarshalPublicKey(&cfg.HostKey.PublicKey)); err != nil {

@@ -100,8 +100,11 @@ func demoteSSHWorker(root *sthread.Sthread, worker *sthread.Recycled) {
 // compartment, as in the other pooled builds.
 func NewPooledPrivsep(root *sthread.Sthread, cfg ServerConfig, slots int, hooks WedgeHooks) (*PooledPrivsep, error) {
 	p := &PooledPrivsep{root: root, cfg: cfg, hooks: hooks}
-	var err error
-	if p.hostTag, p.hostAddr, err = placeSSHBlob(root, minissl.MarshalPrivateKey(cfg.HostKey)); err != nil {
+	keyBlob, err := minissl.MarshalPrivateKey(cfg.HostKey)
+	if err != nil {
+		return nil, err
+	}
+	if p.hostTag, p.hostAddr, err = placeSSHBlob(root, keyBlob); err != nil {
 		return nil, err
 	}
 	if p.pubTag, p.pubAddr, err = placeSSHBlob(root, minissl.MarshalPublicKey(&cfg.HostKey.PublicKey)); err != nil {

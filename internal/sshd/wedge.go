@@ -164,8 +164,11 @@ func releaseTags(root *sthread.Sthread, ts ...tags.Tag) {
 // options each land in their own tag.
 func NewWedge(root *sthread.Sthread, cfg ServerConfig, hooks WedgeHooks) (*Wedge, error) {
 	w := &Wedge{root: root, cfg: cfg, hooks: hooks}
-	var err error
-	if w.hostTag, w.hostAddr, err = placeSSHBlob(root, minissl.MarshalPrivateKey(cfg.HostKey)); err != nil {
+	keyBlob, err := minissl.MarshalPrivateKey(cfg.HostKey)
+	if err != nil {
+		return nil, err
+	}
+	if w.hostTag, w.hostAddr, err = placeSSHBlob(root, keyBlob); err != nil {
 		return nil, err
 	}
 	if w.pubTag, w.pubAddr, err = placeSSHBlob(root, minissl.MarshalPublicKey(&cfg.HostKey.PublicKey)); err != nil {
@@ -190,12 +193,12 @@ func loadBlob(s *sthread.Sthread, addr vm.Addr) []byte {
 // computed by the gate over the caller-supplied bytes; only the hash is
 // signed. Stateless, so the one-shot and pooled variants share it as-is.
 func signGateEntry(g *sthread.Sthread, arg, trusted vm.Addr) vm.Addr {
-	priv, err := minissl.UnmarshalPrivateKey(loadBlob(g, trusted))
-	if err != nil {
-		return 0
-	}
 	data, err := fStr.LoadMax(g, arg, sshSignCap)
 	if err != nil || len(data) == 0 {
+		return 0
+	}
+	priv, err := minissl.UnmarshalPrivateKey(loadBlob(g, trusted))
+	if err != nil {
 		return 0
 	}
 	sig, err := SignHash(priv, data)
