@@ -11,37 +11,41 @@
 //   - A generation-numbered routing ring (ring.go): virtual-node
 //     consistent hashing, two-choice by runtime load from Snapshot,
 //     rebuilt immutably at g+1 on every membership change.
-//   - Session relay: the director terminates the client leg and splices
-//     a backend leg (netsim.Pipe) to the owning member, counting
-//     outstanding request chunks so it always knows whether a worker is
-//     mid-request or parked.
-//   - Live handoff (the rolling drain): pause the client leg, wait for
-//     the outstanding count to reach zero — the worker is then provably
-//     parked on its blocked read — export the session through
-//     serve.HandoffPrincipal, recover any pipelined client bytes the old
-//     worker never read (DrainPending on the dead leg), resume at the
-//     new owner, splice, unpause. The client sees at most a pause.
+//   - Session legs: the director does not relay stream bytes. The owning
+//     member serves a leg of the client's own connection
+//     (netsim.Conn.Splice), so its worker reads and writes the client's
+//     pipes directly, on the director's serving goroutine, with no copy
+//     and no buffer. The member holds only the leg, and the director can
+//     revoke it at any time.
+//   - Live handoff (the rolling drain): Hold the leg, which stops it
+//     consuming at a request boundary and returns once the worker is
+//     parked on its read with every request answered; export the session
+//     through serve.HandoffPrincipal, which detaches the leg; splice a new
+//     leg and resume at the new owner. Client bytes sent meanwhile wait
+//     in the client's pipe and are read by the new leg. The client sees
+//     at most a pause.
 //
 // Trust: the director is control plane, but the records it moves are
 // payload. Every importing runtime re-validates a HandoffRecord as
-// hostile input (schema hash, block bounds, app payload), and the
+// hostile input (schema hash, field bounds, app payload), and the
 // director itself refuses to mix members whose schema hashes disagree —
 // an upgraded build joins an old cluster as a schema mismatch error, not
-// as silent block corruption.
+// as silent block corruption. A leg carries the member's own labels
+// (remote "cluster:<principal>"), so a member never learns the client's
+// front address, and a detached leg can neither read nor write.
 //
 // Protocol contract: the quiescence gate assumes request/response
-// traffic — at most one request in flight per session, one response
-// write per request. Both wedge apps wired through the director (pop3
-// streams, dnsd datagrams) satisfy it; a pipelining client is safe only
-// up to the bytes the director can recover from the pipes (worker-side
-// reader scratch does not survive a handoff).
+// traffic — at most one request in flight per session, one response per
+// request. Both wedge apps wired through the director (pop3 streams,
+// dnsd datagrams) satisfy it. A pipelining client is safe only for bytes
+// still in its pipe: bytes a worker read past the last request it
+// answered do not survive a handoff.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"wedge/internal/netsim"
 	"wedge/internal/serve"
@@ -112,7 +116,7 @@ type Stats struct {
 	Refused       uint64 // clients turned away (no member, duplicate principal)
 }
 
-// Director owns the routing ring and the relay state. All methods are
+// Director owns the routing ring and the session state. All methods are
 // safe for concurrent use; Remove (the rolling drain) serializes against
 // itself so a handoff target can never itself be mid-drain.
 type Director struct {
@@ -316,7 +320,7 @@ func (d *Director) count(c *uint64) {
 	d.mu.Unlock()
 }
 
-// Stats returns the director's ledger and relay census.
+// Stats returns the director's ledger and session census.
 func (d *Director) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -340,36 +344,28 @@ func (d *Director) Stats() Stats {
 
 // ---- stream sessions -------------------------------------------------------
 
-// session is one relayed stream connection: the client leg the director
-// owns, and a backend leg (a netsim.Pipe) to the current owning member.
-// legGen counts splices; outstanding counts forwarded-but-unanswered
-// client chunks — zero means the backend worker is parked on a read.
+// session is one stream connection: the client conn the director
+// accepted, and the leg of it the owning member serves. A handoff
+// installs the next member, leg and record, then closes moved.
 type session struct {
-	d         *Director
 	principal string
 	client    *netsim.Conn
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	member      *member
-	backendCl   *netsim.Conn // director-side end of the backend pipe
-	serverLeg   *netsim.Conn // backend-side end, retained for DrainPending
-	legGen      int
-	outstanding int
-	paused      bool // client->backend forwarding held (handoff in progress)
-	handing     bool
-	legDead     bool // current backend leg saw EOF/close
-	clientGone  bool
+	mu     sync.Mutex
+	member *member
+	leg    *netsim.Conn
+	rec    *serve.HandoffRecord
+	moved  chan struct{} // made by a handoff in progress
 }
 
 func (s *session) ownedBy(m *member) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.member == m && !s.clientGone
+	return s.member == m
 }
 
-// Serve accepts clients until the listener closes, relaying each
-// connection to its owning member, and returns once every relay ends.
+// Serve accepts clients until the listener closes, serving each
+// connection at its owning member, and returns once every session ends.
 func (d *Director) Serve(l *netsim.Listener) error {
 	var serveErr error
 	var wg sync.WaitGroup
@@ -391,17 +387,19 @@ func (d *Director) Serve(l *netsim.Listener) error {
 	return serveErr
 }
 
-// ServeConn relays one client connection, sharding by its network
+// ServeConn serves one client connection, sharding by its network
 // address.
 func (d *Director) ServeConn(client *netsim.Conn) {
 	d.ServeConnAs(client, client.RemoteAddr())
 }
 
-// ServeConnAs relays one client connection under an explicit principal.
-// It returns when the session ends; the client leg is closed on return.
-// One live session per principal: a second concurrent session for the
-// same principal is refused (closed), keeping "the principal's session"
-// well-defined for handoff.
+// ServeConnAs serves one client connection under an explicit principal.
+// The owning member serves a leg of the connection on this goroutine;
+// when a handoff moves the session, the serve continues at the new
+// owner on a new leg. It returns when the session ends, and the client
+// connection is closed on return. One live session per principal: a
+// second concurrent session for the same principal is refused (closed),
+// keeping "the principal's session" well-defined for handoff.
 func (d *Director) ServeConnAs(client *netsim.Conn, principal string) {
 	defer client.Close()
 	m := d.pick(principal)
@@ -409,8 +407,8 @@ func (d *Director) ServeConnAs(client *netsim.Conn, principal string) {
 		d.count(&d.refused)
 		return
 	}
-	s := &session{d: d, principal: principal, client: client}
-	s.cond = sync.NewCond(&s.mu)
+	leg := client.Splice(m.name, "cluster:"+principal)
+	s := &session{principal: principal, client: client, member: m, leg: leg}
 	d.mu.Lock()
 	if _, dup := d.sessions[principal]; dup {
 		d.refused++
@@ -427,190 +425,71 @@ func (d *Director) ServeConnAs(client *netsim.Conn, principal string) {
 		}
 		d.mu.Unlock()
 	}()
-	s.connect(m, nil, nil)
-	go s.clientLoop()
-	s.backendLoop()
-}
 
-// connect splices a backend leg to m, dispatching the serve (or resume)
-// call on its own goroutine. pending, when non-empty, is client bytes
-// the previous leg never consumed: they are written to the new leg
-// first, before any post-handoff client traffic can follow, and counted
-// as an outstanding request chunk.
-func (s *session) connect(m *member, rec *serve.HandoffRecord, pending []byte) {
-	cl, sv := netsim.Pipe("cluster:"+s.principal, m.name)
-	s.mu.Lock()
-	s.member = m
-	s.backendCl = cl
-	s.serverLeg = sv
-	s.legGen++
-	s.legDead = false
-	if len(pending) > 0 {
-		cl.Write(pending)
-		s.outstanding++
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	go func() {
-		if rec == nil {
-			m.stream.ServeConnAs(sv, s.principal)
-		} else {
-			m.stream.ResumeConnAs(sv, s.principal, rec)
-		}
-		// The runtime does not own the conn; close it so the relay
-		// observes the session's end (or a refused resume) as leg EOF.
-		sv.Close()
-	}()
-}
-
-// clientLoop forwards client bytes to the current backend leg, holding
-// at the pause gate during a handoff. Forwarding happens under s.mu —
-// netsim pipe writes never block — so a quiesced pause means no chunk
-// is mid-flight.
-func (s *session) clientLoop() {
-	buf := make([]byte, 32*1024)
+	err := m.stream.ServeConnAs(leg, principal)
 	for {
-		n, err := s.client.Read(buf)
-		if n > 0 {
-			s.mu.Lock()
-			for s.paused {
-				s.cond.Wait()
-			}
-			s.outstanding++
-			s.backendCl.Write(buf[:n])
-			s.mu.Unlock()
-		}
-		if err != nil {
-			s.mu.Lock()
-			s.clientGone = true
-			cl := s.backendCl
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			// Half-close toward the worker: it reads EOF and completes.
-			cl.CloseWrite()
+		// A runtime that refused the session never installed the leg;
+		// detaching it here also tells a pending Hold the session is over.
+		leg.Close()
+		if !errors.Is(err, serve.ErrHandedOff) {
 			return
 		}
-	}
-}
-
-// backendLoop forwards backend bytes to the client, resetting the
-// outstanding count after each forwarded response. On leg EOF it either
-// ends the session or — when a handoff is splicing — waits for the new
-// leg and continues. EOF semantics drain buffered response bytes first,
-// so nothing a worker wrote before its interrupt is lost.
-func (s *session) backendLoop() {
-	buf := make([]byte, 32*1024)
-	for {
 		s.mu.Lock()
-		for s.legDead && s.handing {
-			s.cond.Wait()
-		}
-		if s.legDead {
-			s.mu.Unlock()
-			return
-		}
-		cl := s.backendCl
-		gen := s.legGen
+		moved := s.moved
 		s.mu.Unlock()
-
-		n, err := cl.Read(buf)
-		if n > 0 {
-			if _, werr := s.client.Write(buf[:n]); werr != nil {
-				s.mu.Lock()
-				s.clientGone = true
-				s.cond.Broadcast()
-				s.mu.Unlock()
-				return
-			}
-			s.mu.Lock()
-			s.outstanding = 0
-			s.cond.Broadcast()
-			s.mu.Unlock()
+		if moved == nil {
+			return // exported by someone other than the director
 		}
-		if err != nil {
-			s.mu.Lock()
-			if s.legGen != gen {
-				s.mu.Unlock()
-				continue // spliced under us: read the new leg
-			}
-			s.legDead = true
-			s.cond.Broadcast()
-			s.mu.Unlock()
+		<-moved
+		s.mu.Lock()
+		m, leg, rec := s.member, s.leg, s.rec
+		s.moved, s.rec = nil, nil
+		s.mu.Unlock()
+		if leg == nil {
+			return // no home to move to
 		}
+		err = m.stream.ResumeConnAs(leg, principal, rec)
 	}
 }
 
-// handoffSession moves one session off a draining member. The sequence
-// is the package comment's: pause, quiesce, export, recover pipelined
-// bytes, resume at the new owner, splice, unpause. A session that
-// completes during any step is left to finish normally.
+// handoffSession moves one session off a draining member: hold its leg
+// until the worker is parked between requests, export the session, and
+// install the new owner and leg before returning, so a later Remove
+// holds the current leg. A session that ends first is left to end.
 func (d *Director) handoffSession(s *session, from *member) {
 	s.mu.Lock()
-	if s.member != from || s.clientGone || s.legDead {
-		s.mu.Unlock()
-		return
-	}
-	s.paused = true
-	s.handing = true
-	for s.outstanding != 0 && !s.legDead && !s.clientGone {
-		s.cond.Wait()
-	}
-	if s.legDead || s.clientGone {
-		// Completing on its own; let it.
-		s.paused = false
-		s.handing = false
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return
-	}
-	sv := s.serverLeg
+	leg := s.leg
 	s.mu.Unlock()
-
-	// ErrNoSession is ambiguous: the session may have completed — or the
-	// director admitted it so recently that the runtime has not yet
-	// registered the conn. Retry while the leg is live; a completing
-	// session's leg EOF resolves the ambiguity within a few hops.
-	var rec *serve.HandoffRecord
-	var err error
-	for i := 0; ; i++ {
-		rec, err = from.stream.HandoffPrincipal(s.principal)
-		if err == nil {
-			break
-		}
-		s.mu.Lock()
-		over := s.legDead || s.clientGone
-		s.mu.Unlock()
-		if over || i >= 2000 {
-			// Completed (or wedged beyond hope): let it end normally.
-			s.mu.Lock()
-			s.paused = false
-			s.handing = false
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Client bytes the old worker never read (pipelined past the last
-	// response) survive in the dead leg's pipe; they re-play at the new
-	// home ahead of anything the unpause lets through.
-	pending := sv.DrainPending()
-	to := d.pick(s.principal)
-	if to == nil || to.stream == nil {
-		d.count(&d.handoffFailed)
-		s.mu.Lock()
-		s.paused = false
-		s.handing = false
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		s.client.Close()
+	// A parked worker has registered its session, so the export below
+	// finds it. Client bytes sent from here on wait in the client's pipe
+	// for the next leg.
+	if !leg.Hold() {
 		return
 	}
-	s.connect(to, rec, pending)
+	moved := make(chan struct{})
 	s.mu.Lock()
-	s.paused = false
-	s.handing = false
-	s.cond.Broadcast()
+	s.moved = moved
 	s.mu.Unlock()
-	d.count(&d.handoffs)
+	// The leg is held at rest, so a failed export means the session is
+	// already unwinding (its leg closed under it): let it end.
+	rec, err := from.stream.HandoffPrincipal(s.principal)
+	if err != nil {
+		return
+	}
+	to := d.pick(s.principal)
+	failed := to == nil || to.stream == nil
+	s.mu.Lock()
+	if failed {
+		s.member, s.leg = nil, nil
+	} else {
+		s.member, s.rec = to, rec
+		s.leg = s.client.Splice(to.name, "cluster:"+s.principal)
+	}
+	s.mu.Unlock()
+	close(moved)
+	if failed {
+		d.count(&d.handoffFailed)
+	} else {
+		d.count(&d.handoffs)
+	}
 }

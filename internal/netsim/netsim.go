@@ -41,7 +41,9 @@ func (d Direction) String() string {
 // pipe is one unidirectional buffered byte stream. Unread bytes live in
 // buf[off:]; when a read drains the pipe the buffer rewinds to its base
 // so steady-state request/response traffic reuses one allocation instead
-// of crawling append's capacity forward on every exchange.
+// of crawling append's capacity forward on every exchange. A spliced
+// conn's pipes (see Conn.Splice) also name their current leg and keep
+// its hold state.
 type pipe struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -49,6 +51,13 @@ type pipe struct {
 	off    int
 	wclose bool // writer closed: drain then EOF
 	rclose bool // reader closed: writes fail
+
+	// Leg state. The fields are ordered so a pipe, touched on every
+	// exchange, still fits one 64-byte allocation.
+	held       bool  // leg consumes nothing while all it read is answered
+	parked     bool  // leg waits in Read
+	unanswered bool  // leg read bytes it has not answered with a write
+	leg        *Conn // the current leg reading or writing the pipe, if any
 }
 
 func newPipe() *pipe {
@@ -69,33 +78,78 @@ func (p *pipe) Read(b []byte) (int, error) {
 		}
 		p.cond.Wait()
 	}
+	return p.take(b), nil
+}
+
+// take consumes buffered bytes into b; the pipe must not be empty.
+func (p *pipe) take(b []byte) int {
 	n := copy(b, p.buf[p.off:])
 	p.off += n
 	if p.off == len(p.buf) {
 		p.buf = p.buf[:0]
 		p.off = 0
 	}
-	return n, nil
+	return n
 }
 
-func (p *pipe) Write(b []byte) (int, error) {
+// readLeg is Read through leg, which fails once leg is detached. A held
+// leg with every request it read answered consumes nothing, not even
+// EOF: it parks, which is what Hold waits for.
+func (p *pipe) readLeg(leg *Conn, b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.wclose || p.rclose {
+	for {
+		if p.leg != leg || p.rclose {
+			return 0, ErrClosed
+		}
+		if !p.held || p.unanswered {
+			if p.off < len(p.buf) {
+				break
+			}
+			if p.wclose {
+				return 0, io.EOF
+			}
+		}
+		p.parked = true
+		if p.held {
+			p.cond.Broadcast() // the Hold waiting for this park
+		}
+		p.cond.Wait()
+		if p.leg == leg {
+			p.parked = false
+		}
+	}
+	p.unanswered = true
+	return p.take(b), nil
+}
+
+// write appends b for from: nil for a plain conn, or a leg, which may
+// write only while it is current.
+func (p *pipe) write(from *Conn, b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.wclose || p.rclose || (from != nil && from != p.leg) {
 		return 0, ErrClosed
 	}
 	p.buf = append(p.buf, b...)
 	// One waiter is enough: whoever wakes drains the buffer, and every
 	// later write signals again. Close paths still broadcast so every
-	// blocked reader observes EOF.
-	p.cond.Signal()
+	// blocked reader observes EOF. A Hold waits on the same cond.
+	if p.leg != nil {
+		p.cond.Broadcast()
+	} else {
+		p.cond.Signal()
+	}
 	return len(b), nil
 }
 
-func (p *pipe) closeWrite() {
+// closeWrite marks the writer closed; from is as for write.
+func (p *pipe) closeWrite(from *Conn) {
 	p.mu.Lock()
-	p.wclose = true
-	p.cond.Broadcast()
+	if from == nil || from == p.leg {
+		p.wclose = true
+		p.cond.Broadcast()
+	}
 	p.mu.Unlock()
 }
 
@@ -106,67 +160,129 @@ func (p *pipe) closeRead() {
 	p.mu.Unlock()
 }
 
+// current reports whether leg is the pipe's leg; answered (for a reading
+// leg) also records that everything it read is answered.
+func (p *pipe) current(leg *Conn, answered bool) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.leg != leg {
+		return false
+	}
+	if answered {
+		p.unanswered = false
+	}
+	return true
+}
+
+// setLeg replaces the pipe's leg with to, when it is from or when from is
+// nil. The replaced leg is detached: its reader and any Hold on it wake
+// and give up.
+func (p *pipe) setLeg(from, to *Conn) {
+	p.mu.Lock()
+	if from == nil || from == p.leg {
+		p.leg, p.held, p.parked, p.unanswered = to, false, false, false
+		p.cond.Broadcast()
+	}
+	p.mu.Unlock()
+}
+
 // Conn is one endpoint of a simulated full-duplex connection. It satisfies
 // the subset of net.Conn the applications use (Read, Write, Close, address
 // accessors); deadlines are not modelled.
 type Conn struct {
-	r, w       *pipe
-	local      string
-	remote     string
-	tap        TapFunc
-	dir        Direction // direction of writes from this endpoint
-	closeOnce  sync.Once
-	onClose    func()
-	closedFlag sync.Once
+	r, w      *pipe
+	local     string
+	remote    string
+	tap       TapFunc
+	dir       Direction // direction of writes from this endpoint
+	leg       *Conn     // c itself if Splice made c, else nil
+	closeOnce sync.Once
 }
 
 // TapFunc observes bytes crossing the wire. It must not retain the slice.
 type TapFunc func(dir Direction, data []byte)
 
 // Read reads from the connection.
-func (c *Conn) Read(b []byte) (int, error) { return c.r.Read(b) }
+func (c *Conn) Read(b []byte) (int, error) {
+	if c.leg != nil {
+		return c.r.readLeg(c, b)
+	}
+	return c.r.Read(b)
+}
 
 // Write writes to the connection, invoking any wire tap first.
 func (c *Conn) Write(b []byte) (int, error) {
+	if c.leg != nil {
+		return c.writeLeg(b)
+	}
 	if c.tap != nil {
 		c.tap(c.dir, b)
 	}
-	return c.w.Write(b)
+	return c.w.write(nil, b)
 }
 
-// Close shuts down both directions.
+// writeLeg is Write through a leg: the tap sees only a current leg's
+// bytes, and the write answers what the leg has read.
+func (c *Conn) writeLeg(b []byte) (int, error) {
+	if c.tap != nil && c.w.current(c, false) {
+		c.tap(c.dir, b)
+	}
+	n, err := c.w.write(c, b)
+	if err == nil {
+		c.r.current(c, true)
+	}
+	return n, err
+}
+
+// Close shuts down both directions. Closing a leg only detaches it: its
+// reads and writes fail from then on, and the conn stays open.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
-		c.w.closeWrite()
-		c.r.closeRead()
-		if c.onClose != nil {
-			c.onClose()
+		if c.leg != nil {
+			c.r.setLeg(c, nil)
+			c.w.setLeg(c, nil)
+			return
 		}
+		c.w.closeWrite(nil)
+		c.r.closeRead()
 	})
 	return nil
 }
 
 // CloseWrite half-closes the sending direction (like shutdown(SHUT_WR)).
-func (c *Conn) CloseWrite() { c.w.closeWrite() }
+func (c *Conn) CloseWrite() { c.w.closeWrite(c.leg) }
 
-// DrainPending returns (and consumes) any bytes already buffered in the
-// receive direction, without blocking. After Close, Read reports
-// ErrClosed even when buffered bytes remain — the right semantics for a
-// dead peer, but a session-handoff relay needs those pipelined bytes:
-// they were sent by the client before the pause and belong to the
-// session at its new home. Safe concurrently with the peer's writes;
-// callers serialize with their own reads.
-func (c *Conn) DrainPending() []byte {
+// Splice makes a new leg of c and detaches every older one. A leg reads
+// and writes c's own two pipes under the labels local and remote, and
+// c's tap sees its writes: a relay hands a server its client's stream
+// without copying a byte, and keeps control through Hold and by
+// splicing or closing legs. Only one end of a connection may be spliced.
+func (c *Conn) Splice(local, remote string) *Conn {
+	leg := &Conn{r: c.r, w: c.w, local: local, remote: remote, tap: c.tap, dir: c.dir}
+	leg.leg = leg
+	c.r.setLeg(nil, leg)
+	c.w.setLeg(nil, leg)
+	return leg
+}
+
+// Hold stops leg c consuming at its next request boundary and waits
+// until its reader is parked in Read with every request it read answered
+// by a write; a reader parked after reading part of a request reads on
+// until it answers. Bytes the peer sends meanwhile stay in the pipe for
+// the next leg, and c stays held until it is detached. Hold reports
+// false if c was detached, or the conn closed, first.
+func (c *Conn) Hold() bool {
 	p := c.r
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.off == len(p.buf) {
-		return nil
+	for p.leg == c && !p.rclose {
+		p.held = true
+		if p.parked && !p.unanswered {
+			return true
+		}
+		p.cond.Wait()
 	}
-	out := append([]byte(nil), p.buf[p.off:]...)
-	p.buf = p.buf[:0]
-	p.off = 0
-	return out
+	return false
 }
 
 // LocalAddr returns the endpoint's own address label.
@@ -184,9 +300,8 @@ func connPair(clientAddr, serverAddr string, tap TapFunc) (client, server *Conn)
 	return client, server
 }
 
-// Pipe builds a connected pair outside any Network — the cluster
-// director's tool for splicing a fresh backend leg to a runtime it
-// reaches directly rather than through a listener.
+// Pipe builds a connected pair outside any Network, for handing a
+// server a conn directly rather than through a listener.
 func Pipe(clientAddr, serverAddr string) (client, server *Conn) {
 	return connPair(clientAddr, serverAddr, nil)
 }

@@ -125,6 +125,14 @@ func (a App) clusterHandoff(t *testing.T) {
 		session("first session before the kill") // plants a secret somewhere
 		session("second session before the kill")
 
+		// The client finishes before its worker invocation unwinds; wait
+		// for both, so the one runtime found in flight below owns the
+		// held session and not an earlier one.
+		rigs := map[string]*rig{"m0": r0, "m1": r1}
+		waitFor(t, "the earlier sessions to unwind", func() bool {
+			return r0.rt.Snapshot().Inflight == 0 && r1.rt.Snapshot().Inflight == 0
+		})
+
 		// Park a session mid-protocol, find the runtime that owns it,
 		// and kill that runtime. Hold returns with a server response in
 		// hand, so the worker invocation is provably in flight.
@@ -132,7 +140,6 @@ func (a App) clusterHandoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rigs := map[string]*rig{"m0": r0, "m1": r1}
 		var deadName string
 		waitFor(t, "the held session to dispatch", func() bool {
 			for name, r := range rigs {
