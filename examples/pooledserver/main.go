@@ -100,7 +100,7 @@ func main() {
 	st := <-stats
 	fmt.Printf("served %d connections over %d slots, 0 sthreads created per connection\n",
 		srv.Stats.Requests.Load(), st.Slots)
-	fmt.Printf("scheduler: %d acquires, %d affinity hits, %d steals, %d waits, %d scrubs\n",
+	fmt.Printf("scheduler: %d acquires, %d affinity hits, %d steals, %d queued for a free ring, %d scrubs\n",
 		st.Acquires, st.AffinityHits, st.Steals, st.Waits, st.Scrubs)
 	for _, g := range st.Gates {
 		fmt.Printf("  slot %d: %d invocations, %d scrubs, %d steals (last principal %q)\n",

@@ -511,9 +511,10 @@ func dnsdPoolCell(variant string, conns, total, poolSlots int, opts PoolOpts) (C
 				if variant == "pooled-reuse" {
 					// A flow pins its slot for its lifetime, and a reuse
 					// client's flow never idles: fewer slots than persistent
-					// principals would park the surplus flows in Acquire
-					// behind leases that never release. One slot per client,
-					// and no AutoSlots resync to shrink it underneath them.
+					// principals would leave the surplus flows queued in the
+					// pool behind leases that never release. One slot per
+					// client, and no AutoSlots resync to shrink it underneath
+					// them.
 					slots = conns
 					autoSlots = false
 				}

@@ -36,6 +36,13 @@ import (
 	"wedge/internal/vm"
 )
 
+// ringDepth is every slot ring's position count. The binding rule bounds
+// a ring to two live entries: a lease binds only to a free ring, and an
+// entry dispatches only once every earlier entry is released, so at most
+// one finished entry whose producer is still unwinding sits beside the
+// one entry bound behind it.
+const ringDepth = 2
+
 // slotRing is one slot's ring state. All fields are guarded by the pool
 // lock except the ring itself, which has its own discipline. A respawned
 // worker gets a fresh slotRing.
@@ -52,10 +59,10 @@ type slotRing struct {
 	// owner[pos] names the principal whose bytes sit in ring position pos
 	// (argument block + header), or "" when the position is clean. Set at
 	// reserve, cleared by scrubbing.
-	owner []string
+	owner [ringDepth]string
 	// leases[pos] is the lease holding position pos, valid while its
 	// sequence number is unrecycled.
-	leases []*Lease
+	leases [ringDepth]*Lease
 
 	lastPrincipal string // most recently dispatched principal, for stats
 }
@@ -66,7 +73,7 @@ func (br *slotRing) inflightLocked() int { return int(br.nextSeq - br.recycled) 
 // in sequence order) to the free pool.
 func (br *slotRing) recycleLocked() {
 	for br.recycled < br.nextSeq {
-		l := br.leases[br.recycled%uint64(len(br.leases))]
+		l := br.leases[br.recycled%ringDepth]
 		if !l.consumed || !l.done {
 			break
 		}
@@ -85,7 +92,7 @@ func (p *Pool) newBatchGate(s *slot, def GateDef) (*sthread.Recycled, error) {
 	name := fmt.Sprintf("%s/%s-%d", p.cfg.Name, def.Name, s.index)
 	gate, ring, err := p.root.NewRecycledBatch(name, eff, def.Batch, sthread.BatchConfig{
 		Base:      s.argBase,
-		Depth:     p.cfg.BatchDepth,
+		Depth:     ringDepth,
 		EntrySize: p.entrySize,
 		Trusted:   def.Trusted,
 		Hooks: sthread.BatchHooks{
@@ -96,21 +103,20 @@ func (p *Pool) newBatchGate(s *slot, def GateDef) (*sthread.Recycled, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.br = &slotRing{
-		ring:   ring,
-		owner:  make([]string, p.cfg.BatchDepth),
-		leases: make([]*Lease, p.cfg.BatchDepth),
-	}
+	s.br = &slotRing{ring: ring}
 	return gate, nil
 }
 
 // ringFreeLocked reports whether s can bind a lease now: no reserved
 // entry waits on its ring and no body runs there. A drained ring is free
-// even when its worker is dead: binding respawns the worker.
+// even when its worker is dead: binding respawns the worker. By the
+// binding rule a ring that is otherwise free holds at most one live
+// entry, so the depth arm never fires; it guards that no live position is
+// ever rebound.
 func (p *Pool) ringFreeLocked(s *slot) bool {
 	br := s.br
 	switch inflight := br.inflightLocked(); {
-	case s.retiring || inflight >= p.cfg.BatchDepth:
+	case s.retiring || inflight >= ringDepth:
 		return false
 	case inflight == 0:
 		return true
@@ -162,7 +168,7 @@ func (p *Pool) reviveLocked(s *slot) error {
 		g.Close() // retire the dead gate's control state
 		var err error
 		if def.Batch != nil {
-			size := sthread.BatchRingBytes(p.cfg.BatchDepth, p.entrySize)
+			size := sthread.BatchRingBytes(ringDepth, p.entrySize)
 			if err = p.root.Zero(s.argBase, size); err == nil {
 				g, err = p.newBatchGate(s, def)
 			}
@@ -188,7 +194,7 @@ func (p *Pool) bindLocked(l *Lease, s *slot, stolen bool) error {
 	}
 	br := s.br
 	seq := br.nextSeq
-	pos := int(seq % uint64(p.cfg.BatchDepth))
+	pos := int(seq % ringDepth)
 	switch owner := br.owner[pos]; {
 	case owner == "" || p.cfg.NoScrub:
 	case owner != l.Principal:
@@ -295,17 +301,6 @@ func (l *Lease) CallBatch(caller *sthread.Sthread, connID uint64, fd int, perm k
 	return ring.Await(l.seq)
 }
 
-// Dispatched reports whether service of this lease's work has begun: its
-// entry reached the worker, or the lease is over. Expiry policies use it
-// — a session still waiting for a ring has not read a byte, and reaping
-// it would silently drop its queued input.
-func (l *Lease) Dispatched() bool {
-	p := l.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return l.done || l.s != nil && l.s.br.hookSeq > l.seq
-}
-
 // batchDispatch is the worker-side gate into an entry: it runs on the
 // worker goroutine just before the body sees the entry, and gives it the
 // principal-switch scrub, its demux words, and its fd grant. A failure
@@ -327,7 +322,7 @@ func (p *Pool) batchDispatch(s *slot, seq uint64) error {
 		p.retired.Wait()
 	}
 	br.hookSeq = seq + 1
-	l := br.leases[seq%uint64(len(br.leases))]
+	l := br.leases[seq%ringDepth]
 	if err := p.enterLocked(s, l); err != nil {
 		p.consumeLocked(s, l)
 		p.bindWaitersLocked()
@@ -346,7 +341,7 @@ func (p *Pool) batchDispatch(s *slot, seq uint64) error {
 func (p *Pool) enterLocked(s *slot, l *Lease) error {
 	br := s.br
 	if !p.cfg.NoScrub {
-		cur := int(l.seq % uint64(len(br.owner)))
+		cur := int(l.seq % ringDepth)
 		zeroed, dirtySkipped := false, false
 		for pos, owner := range br.owner {
 			switch {
@@ -397,7 +392,7 @@ func (p *Pool) batchComplete(s *slot, seq uint64) {
 	defer p.mu.Unlock()
 	br := s.br
 	br.inBody = false
-	l := br.leases[seq%uint64(len(br.leases))]
+	l := br.leases[seq%ringDepth]
 	if l.fd >= 0 {
 		s.gates[p.batchDef.Name].Sthread().Task.CloseFD(l.fd)
 	}
@@ -425,7 +420,7 @@ func (p *Pool) releaseRingLocked(l *Lease) {
 	switch {
 	case !l.committed:
 		br.nextSeq = l.seq
-		br.leases[l.seq%uint64(len(br.leases))] = nil
+		br.leases[l.seq%ringDepth] = nil
 	case !l.consumed && !s.gates[p.batchDef.Name].Alive():
 		l.consumed = true
 	}

@@ -23,13 +23,12 @@ func batchEcho(g *sthread.Sthread, b *sthread.Batch, _ vm.Addr) {
 	}
 }
 
-func newBatchPool(t *testing.T, root *sthread.Sthread, slots, depth int, body sthread.BatchFunc, noScrub bool) *Pool {
+func newBatchPool(t *testing.T, root *sthread.Sthread, slots int, body sthread.BatchFunc, noScrub bool) *Pool {
 	t.Helper()
 	p, err := New(root, Config{
-		Name:       "btest",
-		Slots:      slots,
-		BatchDepth: depth,
-		NoScrub:    noScrub,
+		Name:    "btest",
+		Slots:   slots,
+		NoScrub: noScrub,
 		Gates: []GateDef{
 			{Name: "worker", SC: policy.New(), Batch: body},
 			{Name: "echo", SC: policy.New(), Entry: echoGate},
@@ -62,7 +61,7 @@ func batchSession(t *testing.T, p *Pool, root *sthread.Sthread, principal string
 
 func TestBatchPoolRoundTrip(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newBatchPool(t, root, 2, 4, batchEcho, false)
+		p := newBatchPool(t, root, 2, batchEcho, false)
 		defer p.Close()
 		// Push more sessions than slots*depth so positions recycle.
 		for i := uint64(0); i < 20; i++ {
@@ -84,7 +83,7 @@ func TestBatchPoolRoundTrip(t *testing.T) {
 // same-principal skip, and that skips never happen across a switch.
 func TestBatchPoolScrubOnSwitch(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newBatchPool(t, root, 1, 4, batchEcho, false)
+		p := newBatchPool(t, root, 1, batchEcho, false)
 		defer p.Close()
 		// alice twice (same position reuse is a skip candidate on the
 		// second dispatch once her first entry's residue is resident),
@@ -96,21 +95,22 @@ func TestBatchPoolScrubOnSwitch(t *testing.T) {
 			t.Fatalf("no scrub skip on consecutive same-principal entries: %+v", st)
 		}
 		scrubsBefore := st.Scrubs
-		batchSession(t, p, root, "bob", 3)
+		batchSession(t, p, root, "bob", 30)
 		st = p.Stats()
 		if st.Scrubs == scrubsBefore {
 			t.Fatalf("no scrub on principal switch: %+v", st)
 		}
-		// bob's entry at position 2 must not see alice's bytes at
-		// positions 0 and 1 once he dispatches again.
+		// Once bob has dispatched, neither ring position may hold alice's
+		// words (1 -> 2 and 2 -> 3): one holds bob's finished entry, the
+		// other was scrubbed.
 		l, err := p.Acquire("bob")
 		if err != nil {
 			t.Fatal(err)
 		}
-		for pos := uint64(0); pos < 2; pos++ {
+		for pos := uint64(0); pos < ringDepth; pos++ {
 			addr := l.s.br.ring.EntryAddr(pos)
 			for off := vm.Addr(0); off < 16; off += 8 {
-				if w := root.Load64(addr + off); w != 0 {
+				if w := root.Load64(addr + off); w >= 1 && w <= 3 {
 					t.Fatalf("alice residue %#x at pos %d off %d after bob's dispatch", w, pos, off)
 				}
 			}
@@ -128,7 +128,7 @@ func TestBatchPoolScrubOnSwitch(t *testing.T) {
 // across a Drain/Undrain cycle in between.
 func TestBatchPoolSkipNeverSurvivesReassignment(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newBatchPool(t, root, 2, 4, batchEcho, false)
+		p := newBatchPool(t, root, 2, batchEcho, false)
 		defer p.Close()
 		// Principals routed by home shard: P homes on slot 1 (the slot a
 		// shrink retires), Q and R on slot 0 (the slot that survives).
@@ -222,7 +222,7 @@ func TestBatchPoolNestedClassicGate(t *testing.T) {
 				b.Complete(1)
 			}
 		}
-		p = newBatchPool(t, root, 1, 2, body, false)
+		p = newBatchPool(t, root, 1, body, false)
 		defer p.Close()
 		l, err := p.Acquire("alice")
 		if err != nil {
@@ -269,7 +269,7 @@ func TestBatchPoolStealRescue(t *testing.T) {
 				b.Complete(vm.Addr(v))
 			}
 		}
-		p := newBatchPool(t, root, 2, 4, body, false)
+		p := newBatchPool(t, root, 2, body, false)
 		defer p.Close()
 
 		// Wedge one slot.
@@ -349,7 +349,7 @@ func TestPoolFreeRingTakesQueuedLease(t *testing.T) {
 				b.Complete(1)
 			}
 		}
-		p := newBatchPool(t, root, 2, 4, body, false)
+		p := newBatchPool(t, root, 2, body, false)
 		defer p.Close()
 
 		// Hold both workers; release[k] frees the body on slot k.
@@ -427,7 +427,7 @@ func TestBatchPoolQueuedLeasesKeepSweep(t *testing.T) {
 				b.Complete(1)
 			}
 		}
-		p := newBatchPool(t, root, 1, 4, body, false)
+		p := newBatchPool(t, root, 1, body, false)
 		defer p.Close()
 		held, err := p.Acquire("holder")
 		if err != nil {
@@ -484,7 +484,7 @@ func TestBatchPoolQueuedLeasesKeepSweep(t *testing.T) {
 // published. A queued lease released before commit leaves the queue.
 func TestBatchPoolCancelBeforeCommit(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newBatchPool(t, root, 1, 2, batchEcho, false)
+		p := newBatchPool(t, root, 1, batchEcho, false)
 		defer p.Close()
 		l, err := p.Acquire("alice")
 		if err != nil {
@@ -522,7 +522,7 @@ func TestBatchPoolDeadWorkerRespawn(t *testing.T) {
 				b.Complete(1)
 			}
 		}
-		p := newBatchPool(t, root, 1, 2, body, false)
+		p := newBatchPool(t, root, 1, body, false)
 		defer p.Close()
 		l, err := p.Acquire("alice")
 		if err != nil {
@@ -549,25 +549,19 @@ func TestBatchPoolDeadWorkerRespawn(t *testing.T) {
 	})
 }
 
-// TestBatchPoolConfigRejects checks the config validation: one worker
-// def, a ring depth of 1 to 64.
+// TestBatchPoolConfigRejects checks the config validation: exactly one
+// worker def.
 func TestBatchPoolConfigRejects(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		if _, err := New(root, Config{BatchDepth: 2,
+		if _, err := New(root, Config{
 			Gates: []GateDef{{Name: "g", Entry: echoGate}}}); err == nil {
 			t.Fatal("pool without a Batch def accepted")
 		}
-		if _, err := New(root, Config{BatchDepth: 2,
+		if _, err := New(root, Config{
 			Gates: []GateDef{{Name: "a", Batch: batchEcho}, {Name: "b", Batch: batchEcho}}}); err == nil {
 			t.Fatal("pool with two Batch defs accepted")
 		}
-		for _, depth := range []int{0, 65} {
-			if _, err := New(root, Config{BatchDepth: depth,
-				Gates: []GateDef{{Name: "g", Batch: batchEcho}}}); err == nil {
-				t.Fatalf("depth %d accepted", depth)
-			}
-		}
-		p, err := New(root, Config{BatchDepth: 1,
+		p, err := New(root, Config{
 			Gates: []GateDef{{Name: "g", Batch: batchEcho}}})
 		if err != nil {
 			t.Fatal(err)

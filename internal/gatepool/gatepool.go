@@ -53,8 +53,7 @@ var (
 	ErrBadSize  = errors.New("gatepool: pool size out of range")
 )
 
-// DefaultArgSize is the per-slot argument block size when the config
-// leaves it zero.
+// DefaultArgSize is the argument block size of a pool without a Schema.
 const DefaultArgSize = 1024
 
 // GateDef names one recycled entry point every slot instantiates. The
@@ -78,16 +77,14 @@ type GateDef struct {
 
 // Config sizes and populates a pool.
 type Config struct {
-	Name     string // diagnostic prefix for gate sthread names
-	Slots    int    // initial slot count (default 1)
-	MaxSlots int    // Resize ceiling (default max(Slots, 64))
-	ArgSize  int    // bytes of argument block per ring entry (default DefaultArgSize)
-	Gates    []GateDef
+	Name  string // diagnostic prefix for gate sthread names
+	Slots int    // initial slot count (default 1); Resize goes up to max(Slots, 64)
+	Gates []GateDef
 
 	// Schema, when set, is the declarative layout of every argument
 	// block: the block size (and so the inter-principal scrub footprint)
-	// derives from it, superseding ArgSize. The serve runtime always
-	// populates it; raw pools may size the block by hand.
+	// derives from it. The serve runtime always populates it; a pool
+	// without one gets DefaultArgSize blocks.
 	Schema *gateabi.Schema
 
 	// NoScrub disables inter-principal argument scrubbing, reproducing
@@ -95,11 +92,6 @@ type Config struct {
 	// residue tests prove scrubbing is what closes the leak — and should
 	// never be set in servers handling multiple principals.
 	NoScrub bool
-
-	// BatchDepth is the number of schema-sized entry blocks in each
-	// slot's ring, 1 to 64. The pool admits at most Slots×BatchDepth
-	// outstanding leases; Acquire blocks beyond that.
-	BatchDepth int
 }
 
 // slot is one shard: an argument tag holding the slot's ring, the
@@ -113,7 +105,6 @@ type slot struct {
 	br      *slotRing
 
 	retiring bool // close when the ring drains (pool shrank past this slot)
-	waiters  int  // Acquire callers blocked with this slot as their home
 
 	// invocations is atomic so Lease.Call stays off the pool lock — it
 	// sits on the per-request hot path.
@@ -128,11 +119,12 @@ type slot struct {
 // Pool is a sharded recycled-callgate scheduler. All methods are safe for
 // concurrent use.
 type Pool struct {
-	root *sthread.Sthread
-	cfg  Config
+	root     *sthread.Sthread
+	cfg      Config
+	maxSlots int // Resize ceiling
 
 	mu       sync.Mutex
-	freed    *sync.Cond // signaled whenever a lease is released
+	freed    *sync.Cond // broadcast when the last lease is released (Drain waits on it)
 	retired  *sync.Cond // broadcast whenever a ring's recycle cursor may advance
 	slots    []*slot
 	draining bool
@@ -144,13 +136,13 @@ type Pool struct {
 	leases int
 
 	batchDef  GateDef // the def with Batch set
-	entrySize int     // ArgSize rounded up to 8
+	entrySize int     // argument block size rounded up to 8
 
 	// Pool-wide counters.
 	acquires      uint64
 	affinityHits  uint64
 	steals        uint64
-	waits         uint64 // Acquire calls that had to block
+	waits         uint64 // leases Acquire queued unbound
 	scrubs        uint64
 	scrubsSkipped uint64
 	replaced      uint64
@@ -198,29 +190,18 @@ func New(root *sthread.Sthread, cfg Config) (*Pool, error) {
 	if len(cfg.Gates) == 0 {
 		return nil, errors.New("gatepool: config needs at least one GateDef")
 	}
-	if cfg.BatchDepth < 1 || cfg.BatchDepth > 64 {
-		return nil, fmt.Errorf("gatepool: BatchDepth %d out of range 1..64", cfg.BatchDepth)
-	}
 	if cfg.Slots <= 0 {
 		cfg.Slots = 1
 	}
-	if cfg.MaxSlots < cfg.Slots {
-		cfg.MaxSlots = cfg.Slots
-		if cfg.MaxSlots < 64 {
-			cfg.MaxSlots = 64
-		}
-	}
+	argSize := DefaultArgSize
 	if cfg.Schema != nil {
-		cfg.ArgSize = cfg.Schema.Size()
-	}
-	if cfg.ArgSize <= 0 {
-		cfg.ArgSize = DefaultArgSize
+		argSize = cfg.Schema.Size()
 	}
 	if cfg.Name == "" {
 		cfg.Name = "gatepool"
 	}
-	p := &Pool{root: root, cfg: cfg}
-	p.entrySize = (cfg.ArgSize + 7) &^ 7
+	p := &Pool{root: root, cfg: cfg, maxSlots: max(cfg.Slots, 64)}
+	p.entrySize = (argSize + 7) &^ 7
 	workers := 0
 	for _, def := range cfg.Gates {
 		if def.Batch != nil {
@@ -248,7 +229,7 @@ func New(root *sthread.Sthread, cfg Config) (*Pool, error) {
 }
 
 // newSlot allocates one shard: a fresh tag, the ring arena inside it
-// (control words, per-entry headers, BatchDepth schema-sized entry
+// (control words, per-entry headers, ringDepth schema-sized entry
 // blocks), and one gate per def with the tag added read-write.
 func (p *Pool) newSlot(index int) (*slot, error) {
 	root := p.root
@@ -256,7 +237,7 @@ func (p *Pool) newSlot(index int) (*slot, error) {
 	if err != nil {
 		return nil, err
 	}
-	argBase, err := root.Smalloc(argTag, sthread.BatchRingBytes(p.cfg.BatchDepth, p.entrySize))
+	argBase, err := root.Smalloc(argTag, sthread.BatchRingBytes(ringDepth, p.entrySize))
 	if err != nil {
 		root.App().Tags.TagDelete(argTag)
 		return nil, err
@@ -322,39 +303,20 @@ func homeFor(principal string, n int) int {
 	return int(h.Sum64() % uint64(n))
 }
 
-// Acquire leases a slot for principal. It binds the lease to a free ring
-// when one exists — warm with this principal first, then the principal's
-// home slot, then any — and otherwise returns the lease unbound, queued
-// in the pool until CallBatch commits it and a ring frees. It blocks only
-// while Slots×BatchDepth leases are outstanding.
+// Acquire leases a slot for principal without blocking. It binds the
+// lease to a free ring when one exists — warm with this principal first,
+// then the principal's home slot, then any — and otherwise returns the
+// lease unbound, queued in the pool until CallBatch commits it and a ring
+// frees. That queue is the pool's only wait; bounding it is the caller's
+// admission control (serve's App.Queue).
 func (p *Pool) Acquire(principal string) (*Lease, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	waitingOn := -1 // home slot index currently charged with our wait
-	defer func() { p.unchargeWait(waitingOn) }()
-	for {
-		if p.closed {
-			return nil, ErrClosed
-		}
-		if p.draining {
-			return nil, ErrDraining
-		}
-		if p.leases < p.liveCountLocked()*p.cfg.BatchDepth {
-			break
-		}
-		// The pool is at capacity: block until a release, charging the
-		// wait to the principal's home slot so Stats can show where the
-		// queueing is.
-		if waitingOn == -1 {
-			p.waits++
-			if n := p.liveCountLocked(); n > 0 {
-				waitingOn = homeFor(principal, n)
-				if home := p.liveSlotLocked(waitingOn); home != nil {
-					home.waiters++
-				}
-			}
-		}
-		p.freed.Wait()
+	if p.closed {
+		return nil, ErrClosed
+	}
+	if p.draining {
+		return nil, ErrDraining
 	}
 	l := &Lease{Principal: principal, pool: p}
 	if s, stolen := p.freeRingLocked(principal); s != nil {
@@ -364,19 +326,11 @@ func (p *Pool) Acquire(principal string) (*Lease, error) {
 	} else {
 		l.ready = make(chan struct{})
 		p.queue = append(p.queue, l)
+		p.waits++
 	}
 	p.leases++
 	p.acquires++
 	return l, nil
-}
-
-// unchargeWait drops the queue-depth charge taken while blocking.
-func (p *Pool) unchargeWait(waitingOn int) {
-	if waitingOn >= 0 {
-		if home := p.liveSlotLocked(waitingOn); home != nil && home.waiters > 0 {
-			home.waiters--
-		}
-	}
 }
 
 // liveCountLocked counts slots eligible for dispatch.
@@ -445,10 +399,7 @@ func (l *Lease) Release() {
 			close(l.ready)
 		}
 	}
-	// One lease freed: one Acquire can proceed. Drain also waits on
-	// freed, so wake it too.
-	p.freed.Signal()
-	if p.draining {
+	if p.leases == 0 {
 		p.freed.Broadcast()
 	}
 }
@@ -460,8 +411,8 @@ func (l *Lease) Release() {
 // when it returns, and slots admitted while it blocks (or between Drain
 // and Undrain) would arrive live past that barrier.
 func (p *Pool) Resize(n int) error {
-	if n < 1 || n > p.cfg.MaxSlots {
-		return fmt.Errorf("%w: %d (max %d)", ErrBadSize, n, p.cfg.MaxSlots)
+	if n < 1 || n > p.maxSlots {
+		return fmt.Errorf("%w: %d (max %d)", ErrBadSize, n, p.maxSlots)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -511,7 +462,6 @@ func (p *Pool) Resize(n int) error {
 			p.removeSlotLocked(victim)
 		}
 	}
-	p.freed.Broadcast()
 	return nil
 }
 
@@ -560,8 +510,9 @@ func (p *Pool) LiveSlots() int {
 	return p.liveCountLocked()
 }
 
-// MaxSlots reports the Resize ceiling the pool was configured with.
-func (p *Pool) MaxSlots() int { return p.cfg.MaxSlots }
+// MaxSlots reports the Resize ceiling: max(Slots, 64) of the pool's
+// Config.
+func (p *Pool) MaxSlots() int { return p.maxSlots }
 
 // Drain stops new acquisitions and blocks until every lease has been
 // released: the pool is quiescent when it returns. Acquire fails with
@@ -570,7 +521,6 @@ func (p *Pool) MaxSlots() int { return p.cfg.MaxSlots }
 func (p *Pool) Drain() {
 	p.mu.Lock()
 	p.draining = true
-	p.freed.Broadcast() // wake blocked Acquires so they observe the drain
 	for p.leases > 0 {
 		p.freed.Wait()
 	}
@@ -582,7 +532,6 @@ func (p *Pool) Undrain() {
 	p.mu.Lock()
 	p.draining = false
 	p.mu.Unlock()
-	p.freed.Broadcast()
 }
 
 // Close drains the pool, shuts every gate down, and retires every tag.
@@ -598,7 +547,6 @@ func (p *Pool) Close() error {
 	ss := p.slots
 	p.slots = nil
 	p.closeSlotsLocked(ss)
-	p.freed.Broadcast()
 	p.mu.Unlock()
 	return nil
 }
@@ -609,7 +557,6 @@ type GateStats struct {
 	Busy        bool // the ring holds an entry not yet retired
 	Retiring    bool
 	Principal   string // principal of the most recently dispatched entry
-	QueueDepth  int    // Acquire callers currently blocked with this home slot
 	Invocations uint64
 	Scrubs      uint64
 	// ScrubsSkipped counts consecutive same-principal entries that were
@@ -631,7 +578,7 @@ type Stats struct {
 	Acquires     uint64
 	AffinityHits uint64
 	Steals       uint64
-	Waits        uint64
+	Waits        uint64 // leases Acquire queued unbound for want of a free ring
 	// Scrubs counts dispatches and reservations that zeroed another
 	// principal's bytes; ScrubsSkipped counts the dispatches that proved
 	// a scrub unnecessary (same principal back to back on one ring).
@@ -641,11 +588,9 @@ type Stats struct {
 	Grown         uint64
 	Shrunk        uint64
 
-	// Ring counters: the configured depth, the number of
-	// run-to-completion sweeps the workers made, and the entries those
-	// sweeps drained — Batches < BatchEntries is the amortization
-	// working.
-	RingDepth    int
+	// Ring counters: the number of run-to-completion sweeps the workers
+	// made, and the entries those sweeps drained — Batches < BatchEntries
+	// is the amortization working.
 	Batches      uint64
 	BatchEntries uint64
 	// Backlog is the instantaneous count of committed leases no worker
@@ -674,7 +619,6 @@ func (p *Pool) Stats() Stats {
 		Replaced:      p.replaced,
 		Grown:         p.grown,
 		Shrunk:        p.shrunk,
-		RingDepth:     p.cfg.BatchDepth,
 	}
 	for _, l := range p.queue {
 		if l.committed {
@@ -695,7 +639,6 @@ func (p *Pool) Stats() Stats {
 			Busy:          inflight > 0,
 			Retiring:      s.retiring,
 			Principal:     br.lastPrincipal,
-			QueueDepth:    s.waiters,
 			Invocations:   s.invocations.Load(),
 			Scrubs:        s.scrubs,
 			ScrubsSkipped: s.scrubsSkipped,

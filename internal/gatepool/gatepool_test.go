@@ -49,13 +49,12 @@ func faultyGate(g *sthread.Sthread, arg, _ vm.Addr) vm.Addr {
 
 // newTestPool builds a pool whose rings run batchEcho and whose one
 // nested gate, "gate", runs nested.
-func newTestPool(t *testing.T, root *sthread.Sthread, slots, depth int, nested sthread.GateFunc, noScrub bool) *Pool {
+func newTestPool(t *testing.T, root *sthread.Sthread, slots int, nested sthread.GateFunc, noScrub bool) *Pool {
 	t.Helper()
 	p, err := New(root, Config{
-		Name:       "test",
-		Slots:      slots,
-		BatchDepth: depth,
-		NoScrub:    noScrub,
+		Name:    "test",
+		Slots:   slots,
+		NoScrub: noScrub,
 		Gates: []GateDef{
 			{Name: "worker", SC: policy.New(), Batch: batchEcho},
 			{Name: "gate", SC: policy.New(), Entry: nested},
@@ -71,7 +70,7 @@ func newTestPool(t *testing.T, root *sthread.Sthread, slots, depth int, nested s
 // own entry block.
 func TestPoolCallRoundTrip(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 2, 4, echoGate, false)
+		p := newTestPool(t, root, 2, echoGate, false)
 		defer p.Close()
 		l, err := p.Acquire("alice")
 		if err != nil {
@@ -96,12 +95,13 @@ func TestPoolCallRoundTrip(t *testing.T) {
 	})
 }
 
-// TestPoolAffinity: a returning principal lands on the same slot and the
-// same warm position, counted as an affinity hit, with no scrub and no
-// steal.
+// TestPoolAffinity: a returning principal lands on the same slot, with no
+// scrub and no steal. Its returns alternate between the ring's two
+// positions, so one of three lands on the position it has not used yet
+// and two reuse a position warm with its own bytes: two affinity hits.
 func TestPoolAffinity(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 4, 1, echoGate, false)
+		p := newTestPool(t, root, 4, echoGate, false)
 		defer p.Close()
 		first, err := p.Acquire("alice")
 		if err != nil {
@@ -130,8 +130,8 @@ func TestPoolAffinity(t *testing.T) {
 			l.Release()
 		}
 		st := p.Stats()
-		if st.AffinityHits != 3 || st.Steals != 0 {
-			t.Fatalf("affinity=%d steals=%d, want 3/0", st.AffinityHits, st.Steals)
+		if st.AffinityHits != 2 || st.Steals != 0 || st.Scrubs != 0 {
+			t.Fatalf("affinity=%d steals=%d scrubs=%d, want 2/0/0", st.AffinityHits, st.Steals, st.Scrubs)
 		}
 	})
 }
@@ -141,7 +141,7 @@ func TestPoolAffinity(t *testing.T) {
 // argument block even while both are live.
 func TestPoolSlotsShareNoArgumentMemory(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 2, 4, probeGate, false)
+		p := newTestPool(t, root, 2, probeGate, false)
 		defer p.Close()
 		a, err := p.Acquire("alice")
 		if err != nil {
@@ -173,10 +173,10 @@ func TestPoolSlotsShareNoArgumentMemory(t *testing.T) {
 	})
 }
 
-// TestPoolScrubBetweenPrincipals: the §3.3 residue channel. With
-// scrubbing, a principal bound to the ring position another principal
-// used sees only zeroes; with NoScrub the stale argument bytes are still
-// there.
+// TestPoolScrubBetweenPrincipals: the §3.3 residue channel. One principal
+// runs twice, leaving its secret in both ring positions; with scrubbing,
+// the next principal bound to either position sees only zeroes, and with
+// NoScrub the stale argument bytes are still there.
 func TestPoolScrubBetweenPrincipals(t *testing.T) {
 	const secret = 0x5EC12E7
 	for _, noScrub := range []bool{false, true} {
@@ -186,24 +186,31 @@ func TestPoolScrubBetweenPrincipals(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			withRoot(t, func(root *sthread.Sthread) {
-				p := newTestPool(t, root, 1, 1, echoGate, noScrub)
+				p := newTestPool(t, root, 1, echoGate, noScrub)
 				defer p.Close()
-				a, err := p.Acquire("alice")
-				if err != nil {
-					t.Fatal(err)
+				used := map[vm.Addr]bool{}
+				for i := 0; i < 2; i++ {
+					a, err := p.Acquire("alice")
+					if err != nil {
+						t.Fatal(err)
+					}
+					root.Store64(a.Arg+16, secret) // sensitive argument residue
+					if _, err := a.CallBatch(root, 0, -1, 0); err != nil {
+						t.Fatal(err)
+					}
+					a.Release()
+					used[a.Arg] = true
 				}
-				root.Store64(a.Arg+16, secret) // sensitive argument residue
-				if _, err := a.CallBatch(root, 0, -1, 0); err != nil {
-					t.Fatal(err)
+				if len(used) != 2 {
+					t.Fatalf("alice's two sessions used %d ring positions, want 2", len(used))
 				}
-				a.Release()
 
 				b, err := p.Acquire("mallory")
 				if err != nil {
 					t.Fatal(err)
 				}
-				if b.Arg != a.Arg {
-					t.Fatalf("one-deep ring gave mallory %#x, alice had %#x", uint64(b.Arg), uint64(a.Arg))
+				if !used[b.Arg] {
+					t.Fatalf("mallory bound %#x, not one of alice's positions", uint64(b.Arg))
 				}
 				got := root.Load64(b.Arg + 16)
 				if noScrub {
@@ -223,11 +230,11 @@ func TestPoolScrubBetweenPrincipals(t *testing.T) {
 
 // TestPoolStealAndQueue: with the home slot's ring reserved, a second
 // lease for the same principal steals the other free ring; with every
-// ring's capacity leased, Acquire blocks and the wait is charged to the
-// home slot's queue depth.
+// ring reserved, a third Acquire returns at once with the lease queued
+// unbound, and once committed it binds the first ring to free.
 func TestPoolStealAndQueue(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 2, 1, echoGate, false)
+		p := newTestPool(t, root, 2, echoGate, false)
 		defer p.Close()
 		first, err := p.Acquire("alice")
 		if err != nil {
@@ -241,32 +248,24 @@ func TestPoolStealAndQueue(t *testing.T) {
 			t.Fatalf("second lease stolen=%v slot=%d (first %d)", second.Stolen, second.Slot, first.Slot)
 		}
 
-		got := make(chan *Lease)
-		go func() {
-			l, err := p.Acquire("alice")
-			if err != nil {
-				t.Error(err)
-			}
-			got <- l
-		}()
-		// Wait until the blocked Acquire is visible in the stats.
-		for {
-			if st := p.Stats(); st.Waits >= 1 {
-				depth := 0
-				for _, g := range st.Gates {
-					depth += g.QueueDepth
-				}
-				if depth != 1 {
-					t.Fatalf("queue depth = %d, want 1", depth)
-				}
-				break
-			}
-			runtime.Gosched()
+		third, err := p.Acquire("alice")
+		if err != nil {
+			t.Fatal(err)
 		}
+		if third.Arg != 0 {
+			t.Fatalf("third lease bound slot %d while every ring was reserved", third.Slot)
+		}
+		if st := p.Stats(); st.Waits != 1 || st.Acquires != 3 {
+			t.Fatalf("waits=%d acquires=%d, want 1/3", st.Waits, st.Acquires)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := third.CallBatch(root, 0, -1, 0)
+			done <- err
+		}()
 		first.Release()
-		third := <-got
-		if third == nil {
-			t.Fatal("blocked acquire returned nil")
+		if err := <-done; err != nil {
+			t.Fatalf("queued lease's CallBatch: %v", err)
 		}
 		if third.Slot != first.Slot {
 			t.Fatalf("third lease bound slot %d, want the freed slot %d", third.Slot, first.Slot)
@@ -280,7 +279,7 @@ func TestPoolStealAndQueue(t *testing.T) {
 // busy slots only once their leases release.
 func TestPoolResize(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 1, 1, echoGate, false)
+		p := newTestPool(t, root, 1, echoGate, false)
 		defer p.Close()
 		if err := p.Resize(3); err != nil {
 			t.Fatal(err)
@@ -327,7 +326,7 @@ func TestPoolResize(t *testing.T) {
 // acquisitions until Undrain.
 func TestPoolDrainQuiesce(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 2, 4, echoGate, false)
+		p := newTestPool(t, root, 2, echoGate, false)
 		defer p.Close()
 		l, err := p.Acquire("alice")
 		if err != nil {
@@ -372,7 +371,7 @@ func TestPoolDrainQuiesce(t *testing.T) {
 // faults dies; the next lease of its slot replaces it transparently.
 func TestPoolReplacesDeadGate(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 1, 2, faultyGate, false)
+		p := newTestPool(t, root, 1, faultyGate, false)
 		defer p.Close()
 		l, err := p.Acquire("alice")
 		if err != nil {
@@ -413,7 +412,7 @@ func TestPoolStress(t *testing.T) {
 		principals = 5
 	)
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 3, 2, echoGate, false)
+		p := newTestPool(t, root, 3, echoGate, false)
 
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -487,7 +486,7 @@ func TestPoolStress(t *testing.T) {
 // with ErrDraining, and the slot count must be unchanged afterwards.
 func TestResizeDuringDrainRejected(t *testing.T) {
 	withRoot(t, func(root *sthread.Sthread) {
-		p := newTestPool(t, root, 2, 4, echoGate, false)
+		p := newTestPool(t, root, 2, echoGate, false)
 		defer p.Close()
 
 		// Hold a lease so Drain blocks at its barrier.

@@ -28,10 +28,11 @@
 //     completes in-flight sessions, rejects new admissions with the
 //     typed overload error, and returns only when the pool is quiescent;
 //     Undrain re-opens; Close tears everything down.
-//   - Admission control: an optionally bounded pending queue in front of
-//     the pool's blocking Acquire. Overflow fails fast with
-//     *OverloadError (errors.Is ErrOverloaded) instead of queueing
-//     without bound.
+//   - Admission control: an optional bound (App.Queue) on the sessions
+//     admitted beyond the live slot count. The pool never blocks a
+//     session: one that finds no free ring waits in the pool's FIFO
+//     queue, so this bound is what keeps that queue finite. Overflow
+//     fails fast with *OverloadError (errors.Is ErrOverloaded).
 //   - Observability: a unified Snapshot (runtime counters + pool stats +
 //     queue depth) and NUMA-style slot→CPU pin hints.
 //
@@ -121,11 +122,6 @@ func DefaultSlots() int {
 	return n
 }
 
-// DefaultBatchDepth is every runtime's per-slot ring depth: deep enough
-// that a busy worker amortizes its wakeup over many entries, shallow
-// enough that a slot's arena stays a few schema blocks.
-const DefaultBatchDepth = 16
-
 // Conn is one in-flight session's record — a stream connection or a
 // datagram flow: the slot lease, the installed descriptor, and the
 // application's own state. Gate entries reach it through Lookup; the App
@@ -168,9 +164,8 @@ type Conn[T any] struct {
 // argument block at the Schema's reserved demux words when the entry
 // dispatches.
 type App[T any] struct {
-	Name     string // pool name, sthread-name prefix, error prefix
-	Slots    int    // initial slot count (<= 0: DefaultSlots)
-	MaxSlots int    // Resize ceiling (0: gatepool's default)
+	Name  string // pool name, sthread-name prefix, error prefix
+	Slots int    // initial slot count (<= 0: DefaultSlots)
 
 	// Schema is the declarative layout of every slot's argument block
 	// (internal/gateabi): it sizes the block, derives the pool's scrub
@@ -188,10 +183,11 @@ type App[T any] struct {
 	// whole datagram back to the flow's peer per Write.
 	Worker string
 
-	// Queue bounds the admission queue: 0 admits without bound (the
-	// pool's blocking Acquire is the only backpressure), n > 0 admits at
-	// most n sessions beyond the live slot count, n < 0 admits only up to
-	// the live slot count (no waiting). SetQueue adjusts it live.
+	// Queue bounds admission, and with it the pool's FIFO queue of
+	// sessions waiting for a free ring: 0 admits without bound, n > 0
+	// admits at most n sessions beyond the live slot count, n < 0 admits
+	// only up to the live slot count (no waiting). SetQueue adjusts it
+	// live.
 	Queue int
 
 	// AutoSlots makes the slot count track DefaultSlots(): each
@@ -330,9 +326,6 @@ func New[T any](root *sthread.Sthread, app App[T]) (*Runtime[T], error) {
 	if slots <= 0 || app.AutoSlots {
 		slots = DefaultSlots()
 	}
-	if app.MaxSlots > 0 && slots > app.MaxSlots {
-		slots = app.MaxSlots
-	}
 	r := &Runtime[T]{
 		root:    root,
 		app:     app,
@@ -370,12 +363,10 @@ func New[T any](root *sthread.Sthread, app App[T]) (*Runtime[T], error) {
 		}
 	}
 	pool, err := gatepool.New(root, gatepool.Config{
-		Name:       app.Name,
-		Slots:      slots,
-		MaxSlots:   app.MaxSlots,
-		Schema:     app.Schema,
-		Gates:      gates,
-		BatchDepth: DefaultBatchDepth,
+		Name:   app.Name,
+		Slots:  slots,
+		Schema: app.Schema,
+		Gates:  gates,
 	})
 	if err != nil {
 		return nil, err
@@ -506,10 +497,10 @@ func (r *Runtime[T]) ServeConn(conn *netsim.Conn) error {
 }
 
 // ServeConnAs is ServeConn with an explicit principal, for callers that
-// know a better identity than the network address. It blocks while every
-// slot is leased (unless the queue bound rejects first) and returns when
-// the worker invocation — one invocation per connection, zero sthread
-// creations — completes.
+// know a better identity than the network address. While no ring is free
+// the session waits in the pool's FIFO queue (unless the queue bound
+// rejects it first); it returns when the worker invocation — one
+// invocation per connection, zero sthread creations — completes.
 func (r *Runtime[T]) ServeConnAs(conn *netsim.Conn, principal string) error {
 	r.autoSync()
 	if err := r.admit(); err != nil {
@@ -796,8 +787,9 @@ func (r *Runtime[T]) Drain() {
 	// cancelling the drain — or after, never between, so the pool can
 	// not be left drained behind a serving runtime. Safe to call here:
 	// with no admissions and no in-flight connections every lease is
-	// already released, so pool.Drain is an immediate barrier (it also
-	// blocks late Acquires until Undrain) rather than a blocking wait.
+	// already released, so pool.Drain is an immediate barrier (late
+	// Acquires fail with gatepool.ErrDraining until Undrain) rather than
+	// a blocking wait.
 	if r.state == StateDraining {
 		r.pool.Drain()
 	}
@@ -871,7 +863,7 @@ type Snapshot struct {
 	App      string
 	State    State
 	Inflight int // admitted sessions not yet completed
-	Waiting  int // admitted but not yet holding a ring entry
+	Waiting  int // admitted but not yet holding a ring entry (queued in the pool)
 	Queue    int // configured admission bound (App.Queue semantics)
 
 	AutoSlots   bool
@@ -931,9 +923,9 @@ func (r *Runtime[T]) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	ps := r.pool.Stats()
 	cs := r.conns.Stats()
-	// Waiting is sessions admitted but holding no ring entry yet:
-	// blocked in Acquire or queued in the pool for a free ring. A bound
-	// entry never waits behind another body, so it counts as serviced.
+	// Waiting is sessions admitted but holding no ring entry yet: queued
+	// in the pool for a free ring. A bound entry never waits behind
+	// another body, so it counts as serviced.
 	waiting := r.inflight
 	for _, g := range ps.Gates {
 		waiting -= g.Inflight

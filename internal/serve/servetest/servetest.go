@@ -290,8 +290,9 @@ func (a App) start(t *testing.T, slots int, probe Probe, drive func(r *rig)) {
 
 // waitFor yields until cond holds or the deadline passes. The conditions
 // it waits on are flipped by goroutines that are already runnable (a
-// Drain entering its wait, a queued Acquire) or by the runtime's own
-// timer wheel, so yielding the processor is both sufficient and prompt.
+// Drain entering its wait, a session committing its queued lease) or by
+// the runtime's own timer wheel, so yielding the processor is both
+// sufficient and prompt.
 func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -781,49 +782,46 @@ func (a App) leaks(t *testing.T) {
 }
 
 // batchRingResidue is the batched-dataplane extension of residue: with
-// one slot, strictly sequential sessions occupy consecutive ring
-// positions, so principal i's worker invocation runs one entry stride
-// above the position principal i-1's entry occupied. The probe therefore
-// reads two windows: its own argument block (scrubbed but for the demux
-// words, as in residue) and the previous ring position in full — which
-// must be all zeroes, because the dispatch-side principal-switch scrub
-// zeroes every finished foreign entry before the body runs. The battery's
-// principals are all distinct (every session dials a fresh client leg),
-// so the run must record principal-switch scrubs and zero same-principal
-// skips: a skip here would mean warm-entry state crossed a principal
-// switch.
+// one slot, strictly sequential sessions alternate between the ring's two
+// positions, so principal i's worker invocation runs at position i%2
+// while principal i-1's finished entry sits at the other. The probe
+// therefore reads two windows: its own argument block (scrubbed but for
+// the demux words, as in residue) and the other ring position in full —
+// which must be all zeroes, because the dispatch-side principal-switch
+// scrub zeroes every finished foreign entry before the body runs. The
+// battery's principals are all distinct (every session dials a fresh
+// client leg), so the run must record principal-switch scrubs and zero
+// same-principal skips: a skip here would mean warm-entry state crossed a
+// principal switch.
 func (a App) batchRingResidue(t *testing.T) {
+	const sessions = 4
 	argSize := a.Schema.Size()
 	stride := vm.Addr((argSize + 7) &^ 7) // the ring's entry stride (gatepool entry size)
-	var depth atomic.Int64
 	var mu sync.Mutex
-	var own, prev [][]byte
+	var own, other [][]byte
+	var args []vm.Addr
 	probe := func(s *sthread.Sthread, arg vm.Addr) {
 		o := make([]byte, argSize)
 		s.Read(arg, o)
 		mu.Lock()
 		idx := len(own)
 		mu.Unlock()
-		var pr []byte
-		// Ring position idx%depth; position 0's lower neighbour is the
-		// header array, not an entry, so only later positions probe below.
-		if d := depth.Load(); d > 0 && int64(idx)%d != 0 {
-			pr = make([]byte, stride)
-			s.Read(arg-stride, pr)
+		// Position 0's other position lies one stride above it, position
+		// 1's one stride below.
+		ot := make([]byte, stride)
+		if idx%2 == 0 {
+			s.Read(arg+stride, ot)
+		} else {
+			s.Read(arg-stride, ot)
 		}
 		mu.Lock()
 		own = append(own, o)
-		prev = append(prev, pr)
+		other = append(other, ot)
+		args = append(args, arg)
 		mu.Unlock()
 	}
 	a.start(t, 1, probe, func(r *rig) {
-		st := r.rt.PoolStats()
-		depth.Store(int64(st.RingDepth))
 		stop := r.serveLoop()
-		sessions := 4
-		if st.RingDepth < sessions {
-			sessions = st.RingDepth // keep every session at a distinct position
-		}
 		var secrets [][]byte
 		for i := 0; i < sessions; i++ {
 			secret, err := a.Session(r.k)
@@ -842,6 +840,11 @@ func (a App) batchRingResidue(t *testing.T) {
 		if len(own) != sessions {
 			t.Fatalf("probes = %d, want %d (one worker invocation per session)", len(own), sessions)
 		}
+		for i, arg := range args {
+			if arg != args[0]+vm.Addr(i%2)*stride {
+				t.Fatalf("session %d ran at %#x, want position %d of the ring at %#x", i, arg, i%2, args[0])
+			}
+		}
 		for i := 1; i < len(own); i++ {
 			for _, secret := range secrets[:min(i, len(secrets))] {
 				if len(secret) > 0 && bytes.Contains(own[i], secret) {
@@ -853,10 +856,7 @@ func (a App) batchRingResidue(t *testing.T) {
 					t.Fatalf("probe %d: ring entry not scrubbed at +%d (%#x)", i, j, b)
 				}
 			}
-			if prev[i] == nil {
-				t.Fatalf("probe %d took no lower-neighbour window", i)
-			}
-			for j, b := range prev[i] {
+			for j, b := range other[i] {
 				if b != 0 {
 					t.Fatalf("probe %d: the previous principal's ring position still holds %#x at +%d — "+
 						"its entry was not scrubbed before this principal's body ran", i, b, j)

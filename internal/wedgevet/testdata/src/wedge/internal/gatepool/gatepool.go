@@ -16,10 +16,8 @@ type GateDef struct {
 }
 
 type Config struct {
-	Name     string
-	Slots    int
-	MaxSlots int
-	ArgSize  int
-	Gates    []GateDef
-	Schema   *gateabi.Schema
+	Name   string
+	Slots  int
+	Gates  []GateDef
+	Schema *gateabi.Schema
 }

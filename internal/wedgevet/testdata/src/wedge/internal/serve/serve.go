@@ -8,10 +8,9 @@ import (
 )
 
 type App[T any] struct {
-	Name     string
-	Slots    int
-	MaxSlots int
-	Schema   *gateabi.Schema
-	Gates    []gatepool.GateDef
-	Worker   string
+	Name   string
+	Slots  int
+	Schema *gateabi.Schema
+	Gates  []gatepool.GateDef
+	Worker string
 }

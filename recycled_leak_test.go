@@ -110,14 +110,13 @@ func TestPooledGateScrubsAcrossPrincipals(t *testing.T) {
 						b.Complete(1)
 					}
 				}
-				// One slot, one ring position: both principals' entries
-				// land in the same block.
+				// One slot: principal A runs twice, so both ring positions
+				// hold its residue and B's entry lands in one of them.
 				pool, err := wedge.NewGatePool(main, wedge.GatePoolConfig{
-					Name:       "leaky",
-					Slots:      1,
-					BatchDepth: 1,
-					Gates:      []wedge.GateDef{{Name: "process", Batch: worker}},
-					NoScrub:    noScrub,
+					Name:    "leaky",
+					Slots:   1,
+					Gates:   []wedge.GateDef{{Name: "process", Batch: worker}},
+					NoScrub: noScrub,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -125,17 +124,19 @@ func TestPooledGateScrubsAcrossPrincipals(t *testing.T) {
 				defer pool.Close()
 
 				// Principal A processes its secret through the worker.
-				a, err := pool.Acquire("principal-a")
-				if err != nil {
-					t.Fatal(err)
+				for i := 0; i < 2; i++ {
+					a, err := pool.Acquire("principal-a")
+					if err != nil {
+						t.Fatal(err)
+					}
+					main.Store64(a.Arg, scratchSecret)
+					if ret, err := a.CallBatch(main, 0, -1, 0); err != nil || ret != 1 {
+						t.Fatalf("processing entry = %v, %v", ret, err)
+					}
+					a.Release()
 				}
-				main.Store64(a.Arg, scratchSecret)
-				if ret, err := a.CallBatch(main, 0, -1, 0); err != nil || ret != 1 {
-					t.Fatalf("processing entry = %v, %v", ret, err)
-				}
-				a.Release()
 
-				// Principal B binds the same position and scans the block.
+				// Principal B binds one of A's positions and scans the block.
 				b, err := pool.Acquire("principal-b")
 				if err != nil {
 					t.Fatal(err)
