@@ -277,7 +277,8 @@ func main() {
 				row.Cell, row.Conc, row.Stats.RPS,
 				row.Stats.P50.Round(10*time.Microsecond), row.Stats.P99.Round(10*time.Microsecond))
 			if row.Cell == "rolling-drain" {
-				fmt.Printf("  removes=%d handoffs=%d, zero client-visible errors", row.Removes, row.Handoffs)
+				fmt.Printf("  removes=%d handoffs=%d (%d datagram flows), zero client-visible errors",
+					row.Removes, row.Handoffs, row.Flows)
 			}
 			fmt.Println()
 		}

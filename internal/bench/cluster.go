@@ -1,6 +1,6 @@
 // The cluster cells: the multi-runtime director measured. Steady-state
 // pop3 (stream) and dnsd (datagram) throughput through an N-member
-// cluster — what the front-end relay and two-choice routing cost next
+// cluster — what the director's legs and two-choice routing cost next
 // to the single-runtime FigPool cells — plus the rolling-drain cell:
 // continuous mixed load while every member in turn is removed, drained,
 // and re-admitted. In that cell a stream error is a client-visible
@@ -48,7 +48,8 @@ type ClusterRow struct {
 	Runtimes int
 	Conc     int
 	Stats    CellStats
-	Handoffs uint64 // live sessions moved (rolling-drain cell only)
+	Handoffs uint64 // live sessions and flows moved (rolling-drain cell only)
+	Flows    uint64 // the datagram flows among Handoffs (rolling-drain cell only)
 	Removes  int    // rolling drains performed (rolling-drain cell only)
 }
 
@@ -68,13 +69,11 @@ func (o *ClusterOpts) defaults() {
 }
 
 // clusterMember is one cluster member: a pop3 runtime and a dnsd
-// runtime, each in its own kernel (its own host — the dnsd kernel's
-// network doubles as the member's mirror host for packet relays).
+// runtime, each in its own kernel.
 type clusterMember struct {
 	name string
 	pop  *pop3.PooledServer
 	dns  *dnsd.Resolver
-	host *netsim.Network
 
 	popK, dnsK     *kernel.Kernel
 	popApp, dnsApp *sthread.App
@@ -129,7 +128,6 @@ func startClusterMember(name string, popSlots int, key *rsa.PrivateKey) *cluster
 
 	m.pop = <-popReady
 	m.dns = <-dnsReady
-	m.host = m.dnsK.Net
 	m.done = []chan error{popDone, dnsDone}
 	return m
 }
@@ -148,7 +146,7 @@ type clusterRig struct {
 }
 
 func memberSpec(m *clusterMember) cluster.Member {
-	return cluster.Member{Name: m.name, Stream: m.pop, Packet: m.dns, Host: m.host}
+	return cluster.Member{Name: m.name, Stream: m.pop, Packet: m.dns}
 }
 
 func startClusterRig(n, popSlots int) (*clusterRig, error) {
@@ -157,9 +155,6 @@ func startClusterRig(n, popSlots int) (*clusterRig, error) {
 		return nil, err
 	}
 	r := &clusterRig{d: cluster.New(), front: netsim.New(), pub: &key.PublicKey}
-	// Director-side packet-flow relay state is swept on this idle bound;
-	// member-side flows expire on soakFlowIdle as in the soak.
-	r.d.PacketIdle = int64(250 * time.Millisecond)
 	for i := 0; i < n; i++ {
 		m := startClusterMember(fmt.Sprintf("m%d", i), popSlots, key)
 		r.members = append(r.members, m)
@@ -214,6 +209,15 @@ func (r *clusterRig) settle(when string) error {
 		}
 	}
 	return nil
+}
+
+// flowsHanded is how many datagram flows the members have exported.
+func (r *clusterRig) flowsHanded() uint64 {
+	var n uint64
+	for _, m := range r.members {
+		n += m.dns.Snapshot().Handed
+	}
+	return n
 }
 
 func (r *clusterRig) pop3Session() error {
@@ -427,7 +431,7 @@ func Cluster(opts ClusterOpts) ([]ClusterRow, []Result, error) {
 	}
 	rows = append(rows, ClusterRow{Cell: "dnsd", Runtimes: opts.Runtimes, Conc: opts.Conc, Stats: dnsStats})
 
-	handoffs0 := rig.d.Stats().Handoffs
+	handoffs0, flows0 := rig.d.Stats().Handoffs, rig.flowsHanded()
 	removes := opts.Runtimes
 	drainStats, err := rig.churn(opts.Sessions, opts.Conc, removes, clusterAnchors)
 	if err != nil {
@@ -442,7 +446,7 @@ func Cluster(opts ClusterOpts) ([]ClusterRow, []Result, error) {
 		return fail(fmt.Errorf("rolling-drain cell: %d removes, zero handoffs — the drains moved nothing", removes))
 	}
 	rows = append(rows, ClusterRow{Cell: "rolling-drain", Runtimes: opts.Runtimes, Conc: opts.Conc,
-		Stats: drainStats, Handoffs: handoffs, Removes: removes})
+		Stats: drainStats, Handoffs: handoffs, Flows: rig.flowsHanded() - flows0, Removes: removes})
 
 	if err := rig.settle("after the cluster cells"); err != nil {
 		return fail(err)
@@ -466,7 +470,7 @@ func Cluster(opts ClusterOpts) ([]ClusterRow, []Result, error) {
 	}
 	cell(rows[0], "")
 	cell(rows[1], "")
-	note := fmt.Sprintf("trajectory: mixed pop3+dnsd load while each of %d members is drained and re-admitted in turn; %d live handoffs, zero client-visible errors", opts.Runtimes, handoffs)
+	note := fmt.Sprintf("trajectory: mixed pop3+dnsd load while each of %d members is drained and re-admitted in turn; %d live handoffs (%d datagram flows), zero client-visible errors", opts.Runtimes, handoffs, rows[2].Flows)
 	cell(rows[2], note)
 	results = append(results, Result{
 		Experiment: "cluster",

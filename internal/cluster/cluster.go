@@ -11,35 +11,40 @@
 //   - A generation-numbered routing ring (ring.go): virtual-node
 //     consistent hashing, two-choice by runtime load from Snapshot,
 //     rebuilt immutably at g+1 on every membership change.
-//   - Session legs: the director does not relay stream bytes. The owning
-//     member serves a leg of the client's own connection
-//     (netsim.Conn.Splice), so its worker reads and writes the client's
-//     pipes directly, on the director's serving goroutine, with no copy
-//     and no buffer. The member holds only the leg, and the director can
-//     revoke it at any time.
-//   - Live handoff (the rolling drain): Hold the leg, which stops it
-//     consuming at a request boundary and returns once the worker is
-//     parked on its read with every request answered; export the session
-//     through serve.HandoffPrincipal, which detaches the leg; splice a new
-//     leg and resume at the new owner. Client bytes sent meanwhile wait
-//     in the client's pipe and are read by the new leg. The client sees
-//     at most a pause.
+//   - Legs, one design for both transports: the director relays no
+//     bytes. The owning member serves a leg of the client's own
+//     connection (netsim.Conn.Splice), or, for a datagram flow, a leg of
+//     the front socket that sends only to the flow's client
+//     (netsim.PacketConn.Splice), with its serving call on a director
+//     goroutine. The member holds only the leg, and the director can
+//     revoke it at any time. A director session or flow record lives
+//     exactly as long as the member's serving call; a flow's ends on the
+//     member's idle wheel, the only flow clock (packet.go).
+//   - Live handoff (the rolling drain): Hold the session or flow until
+//     its worker is parked on its read with every request answered — a
+//     stream leg stops consuming at a request boundary (Conn.Hold); a
+//     flow's datagrams wait in the director's pause queue while
+//     serve.HandoffPrincipal holds it — then export it through
+//     HandoffPrincipal, which detaches the leg, and resume at the new
+//     owner on a new leg. What the client sends meanwhile waits in its
+//     pipe or the pause queue. The client sees at most a pause.
 //
 // Trust: the director is control plane, but the records it moves are
 // payload. Every importing runtime re-validates a HandoffRecord as
 // hostile input (schema hash, field bounds, app payload), and the
 // director itself refuses to mix members whose schema hashes disagree —
 // an upgraded build joins an old cluster as a schema mismatch error, not
-// as silent block corruption. A leg carries the member's own labels
-// (remote "cluster:<principal>"), so a member never learns the client's
-// front address, and a detached leg can neither read nor write.
+// as silent block corruption. A stream leg carries the member's own
+// labels (remote "cluster:<principal>"), so a member never learns the
+// client's front address; a packet leg reaches only its flow's client.
+// A detached leg can neither read nor write.
 //
 // Protocol contract: the quiescence gate assumes request/response
 // traffic — at most one request in flight per session, one response per
 // request. Both wedge apps wired through the director (pop3 streams,
-// dnsd datagrams) satisfy it. A pipelining client is safe only for bytes
-// still in its pipe: bytes a worker read past the last request it
-// answered do not survive a handoff.
+// dnsd datagrams, which acks every FRAG half) satisfy it. A pipelining
+// client is safe only for bytes still in its pipe: bytes a worker read
+// past the last request it answered do not survive a handoff.
 package cluster
 
 import (
@@ -69,11 +74,13 @@ type StreamBackend interface {
 }
 
 // PacketBackend is the datagram counterpart: the slice of a
-// serve.Runtime the director drives for flows. dnsd.Resolver satisfies
-// it via its embedded runtime.
+// serve.Runtime the director drives for flows. OpenFlow opens a flow on
+// a packet leg of the front socket, fresh or resumed from a handoff
+// record, and DeliverPacket forwards the flow's later datagrams.
+// dnsd.Resolver satisfies it via its embedded runtime.
 type PacketBackend interface {
-	DeliverPacket(pc *netsim.PacketConn, payload []byte, from string)
-	ResumeFlow(pc *netsim.PacketConn, peer string, rec *serve.HandoffRecord) error
+	OpenFlow(leg *netsim.PacketLeg, queued [][]byte, rec *serve.HandoffRecord) (func() error, error)
+	DeliverPacket(payload []byte, from string) bool
 	HandoffPrincipal(principal string) (*serve.HandoffRecord, error)
 	SchemaHash() uint64
 	Snapshot() serve.Snapshot
@@ -83,14 +90,13 @@ type PacketBackend interface {
 
 // Member declares one runtime joining the cluster. A member may serve
 // streams, packets, or both, but every member must serve the same modes
-// as the first one added. Host is the member's own network segment —
-// packet handoff binds reply mirrors there; it is required only for
-// packet members.
+// as the first one added. A member needs no network of its own: it
+// serves each stream session and packet flow on a leg of the director's
+// front connection or socket.
 type Member struct {
 	Name   string
 	Stream StreamBackend
 	Packet PacketBackend
-	Host   *netsim.Network
 }
 
 // member is the director's record of one runtime.
@@ -98,7 +104,6 @@ type member struct {
 	name     string
 	stream   StreamBackend
 	packet   PacketBackend
-	host     *netsim.Network
 	draining bool
 }
 
@@ -120,11 +125,6 @@ type Stats struct {
 // safe for concurrent use; Remove (the rolling drain) serializes against
 // itself so a handoff target can never itself be mid-drain.
 type Director struct {
-	// PacketIdle bounds a director-side packet flow's silence before its
-	// relay state (mirror socket, reply loop) is swept. Set before
-	// serving; zero means defaultPacketIdle.
-	PacketIdle int64
-
 	drainMu sync.Mutex // serializes rolling drains
 
 	mu       sync.Mutex
@@ -132,7 +132,7 @@ type Director struct {
 	ring     *ring
 	gen      uint64
 	sessions map[string]*session
-	flows    map[string]*pktFlow
+	flows    map[string]*flow
 
 	hasStream, hasPacket bool
 	streamHash           uint64
@@ -149,7 +149,7 @@ func New() *Director {
 	return &Director{
 		members:  make(map[string]*member),
 		sessions: make(map[string]*session),
-		flows:    make(map[string]*pktFlow),
+		flows:    make(map[string]*flow),
 	}
 }
 
@@ -165,9 +165,6 @@ func (d *Director) Add(m Member) error {
 	}
 	if m.Stream == nil && m.Packet == nil {
 		return fmt.Errorf("cluster: member %q has no backend", m.Name)
-	}
-	if m.Packet != nil && m.Host == nil {
-		return fmt.Errorf("cluster: packet member %q needs a host network", m.Name)
 	}
 	// Interface calls happen outside d.mu.
 	var sh, ph uint64
@@ -200,7 +197,7 @@ func (d *Director) Add(m Member) error {
 				Want: d.packetHash, Got: ph}
 		}
 	}
-	d.members[m.Name] = &member{name: m.Name, stream: m.Stream, packet: m.Packet, host: m.Host}
+	d.members[m.Name] = &member{name: m.Name, stream: m.Stream, packet: m.Packet}
 	d.rebuildLocked()
 	return nil
 }
@@ -250,11 +247,11 @@ func (d *Director) Remove(name string) error {
 			owned = append(owned, s)
 		}
 	}
-	var ownedFlows []*pktFlow
+	// A flow's owner is read under the flow's own lock, which an open in
+	// progress holds while it takes d.mu: collect first, check after.
+	flows := make([]*flow, 0, len(d.flows))
 	for _, f := range d.flows {
-		if f.ownedBy(m) {
-			ownedFlows = append(ownedFlows, f)
-		}
+		flows = append(flows, f)
 	}
 	d.mu.Unlock()
 
@@ -263,9 +260,11 @@ func (d *Director) Remove(name string) error {
 		wg.Add(1)
 		go func(s *session) { defer wg.Done(); d.handoffSession(s, m) }(s)
 	}
-	for _, f := range ownedFlows {
-		wg.Add(1)
-		go func(f *pktFlow) { defer wg.Done(); d.handoffFlow(f, m) }(f)
+	for _, f := range flows {
+		if f.ownedBy(m) {
+			wg.Add(1)
+			go func(f *flow) { defer wg.Done(); d.handoffFlow(f, m) }(f)
+		}
 	}
 	wg.Wait()
 
@@ -402,22 +401,33 @@ func (d *Director) ServeConn(client *netsim.Conn) {
 // keeping "the principal's session" well-defined for handoff.
 func (d *Director) ServeConnAs(client *netsim.Conn, principal string) {
 	defer client.Close()
-	m := d.pick(principal)
-	if m == nil || m.stream == nil {
-		d.count(&d.refused)
-		return
-	}
-	leg := client.Splice(m.name, "cluster:"+principal)
-	s := &session{principal: principal, client: client, member: m, leg: leg}
-	d.mu.Lock()
-	if _, dup := d.sessions[principal]; dup {
-		d.refused++
+	s := &session{principal: principal, client: client}
+	var m *member
+	var leg *netsim.Conn
+	for m == nil {
+		if m = d.pick(principal); m == nil || m.stream == nil {
+			d.count(&d.refused)
+			return
+		}
+		d.mu.Lock()
+		if _, dup := d.sessions[principal]; dup {
+			d.refused++
+			d.mu.Unlock()
+			return
+		}
+		// A Remove that began after the pick has rebuilt the ring without
+		// m and taken its snapshot of m's sessions: route again, or the
+		// session would reach m after its drain and be turned away.
+		if m.draining {
+			m = nil
+		} else {
+			leg = client.Splice(m.name, "cluster:"+principal)
+			s.member, s.leg = m, leg
+			d.sessions[principal] = s
+			d.admitted++
+		}
 		d.mu.Unlock()
-		return
 	}
-	d.sessions[principal] = s
-	d.admitted++
-	d.mu.Unlock()
 	defer func() {
 		d.mu.Lock()
 		if d.sessions[principal] == s {

@@ -64,13 +64,11 @@ func testBoxes() []pop3.Mailbox {
 }
 
 // memberRig is one cluster member: a pop3 runtime and a dnsd runtime,
-// each in its own kernel (its own host, its own network segment — the
-// dnsd segment doubles as the member's mirror host).
+// each in its own kernel.
 type memberRig struct {
 	name string
 	pop  *pop3.PooledServer
 	dns  *dnsd.Resolver
-	host *netsim.Network
 
 	quit chan struct{}
 	done []chan error
@@ -100,9 +98,8 @@ func startMemberRig(t *testing.T, name string) *memberRig {
 
 	dnsReady := make(chan *dnsd.Resolver, 1)
 	dnsDone := make(chan error, 1)
-	dnsK := kernel.New()
 	go func() {
-		app := sthread.Boot(dnsK)
+		app := sthread.Boot(kernel.New())
 		dnsDone <- app.Main(func(root *sthread.Sthread) {
 			rt, err := dnsd.NewPooled(root, testZoneKey(), testZone(), dnsd.Config{
 				Slots:       4,
@@ -124,7 +121,6 @@ func startMemberRig(t *testing.T, name string) *memberRig {
 	if r.pop == nil || r.dns == nil {
 		t.FailNow()
 	}
-	r.host = dnsK.Net
 	r.done = []chan error{popDone, dnsDone}
 	return r
 }
@@ -198,7 +194,7 @@ func TestClusterRollingDrain(t *testing.T) {
 	addMember := func(n string) {
 		t.Helper()
 		r := rigs[n]
-		if err := d.Add(cluster.Member{Name: n, Stream: r.pop, Packet: r.dns, Host: r.host}); err != nil {
+		if err := d.Add(cluster.Member{Name: n, Stream: r.pop, Packet: r.dns}); err != nil {
 			t.Fatalf("add %s: %v", n, err)
 		}
 	}
@@ -374,9 +370,18 @@ func TestClusterRollingDrain(t *testing.T) {
 
 	st := d.Stats()
 	// Every pop3 session outlives all three drains, so each was handed at
-	// least once; nothing may have failed to find a home or been refused.
+	// least once, and so was every dnsd flow (its client never goes quiet
+	// for the 2 s window); nothing may have failed to find a home or been
+	// refused.
 	if st.Handoffs < 6 {
 		t.Errorf("handoffs = %d, want >= 6", st.Handoffs)
+	}
+	var flowsHanded uint64
+	for _, r := range rigs {
+		flowsHanded += r.dns.Snapshot().Handed
+	}
+	if flowsHanded < 5 {
+		t.Errorf("dnsd flows handed = %d, want >= 5", flowsHanded)
 	}
 	if st.HandoffFailed != 0 || st.Refused != 0 {
 		t.Errorf("handoffFailed=%d refused=%d, want 0/0", st.HandoffFailed, st.Refused)
@@ -432,11 +437,11 @@ func TestClusterSchemaMismatchRefused(t *testing.T) {
 	defer b.stop(t)
 
 	d := cluster.New()
-	if err := d.Add(cluster.Member{Name: "a", Stream: a.pop, Packet: a.dns, Host: a.host}); err != nil {
+	if err := d.Add(cluster.Member{Name: "a", Stream: a.pop, Packet: a.dns}); err != nil {
 		t.Fatal(err)
 	}
 	// b's stream backend reports a different schema hash via a shim.
-	err := d.Add(cluster.Member{Name: "b", Stream: badHash{a.pop.SchemaHash() ^ 1, b.pop}, Packet: b.dns, Host: b.host})
+	err := d.Add(cluster.Member{Name: "b", Stream: badHash{a.pop.SchemaHash() ^ 1, b.pop}, Packet: b.dns})
 	if err == nil {
 		t.Fatal("mismatched schema hash joined the cluster")
 	}
@@ -445,7 +450,7 @@ func TestClusterSchemaMismatchRefused(t *testing.T) {
 		t.Fatalf("join error = %v, want *serve.SchemaMismatchError", err)
 	}
 	// The honest twin still joins.
-	if err := d.Add(cluster.Member{Name: "b", Stream: b.pop, Packet: b.dns, Host: b.host}); err != nil {
+	if err := d.Add(cluster.Member{Name: "b", Stream: b.pop, Packet: b.dns}); err != nil {
 		t.Fatalf("matching member refused: %v", err)
 	}
 }

@@ -1,189 +1,174 @@
 // The packet half of the director: datagram flows sharded by client
-// address, forwarded to the owning member through a per-flow mirror
-// socket, with live flow handoff.
+// address and served the way stream sessions are. The owning member
+// answers a flow through a packet leg (netsim.PacketLeg) of the front
+// socket, which sends only to the flow's client and cannot read, and the
+// member's serving call for the flow runs on a director goroutine. The
+// director forwards each client datagram into the member's flow demux
+// (DeliverPacket) and keeps, per flow, only a routing record: the member,
+// the pause queue and the handoff rendezvous. The record goes when the
+// serving call returns, so a director flow lives exactly as long as the
+// member's flow, on the member's idle clock.
 //
-// Datagrams have no leg to splice, so the relay works by address
-// mirroring: for each client flow the director binds a PacketConn at
-// the *client's* address on the owning member's own network segment and
-// forwards payloads via the runtime's DeliverPacket entry. The backend
-// worker replies to what it believes is the client's address; on the
-// member's segment that address is the mirror, so the reply lands back
-// in the director, which relays it out the front socket. The member
-// never holds a route to the real client — its segment cannot even
-// name the front network (netsim.Topology) — which keeps the "all
-// client bytes cross the director" invariant honest rather than
-// aspirational.
-//
-// Handoff is the stream discipline minus the byte recovery: pause
-// forwarding (queueing, not dropping — a datagram that arrives during
-// the pause replays at the new home in order), quiesce on the
-// outstanding count, export the flow record (which carries
-// app-level reassembly state, e.g. dnsd's in-progress FRAG), bind a
-// fresh mirror on the new member's segment, resume, flush the queue,
-// unpause. In-network datagrams need no draining: a reply a worker
-// wrote before its interrupt is already sitting in the mirror's queue,
-// and the reply loop keeps reading a dead generation's mirror until its
-// close, so nothing buffered is lost.
+// Handoff is the stream discipline with the pause in the director: hold
+// back the client's datagrams (queueing, not dropping), export the flow
+// through HandoffPrincipal — which holds it until its worker is parked
+// with everything it read answered, and detaches its leg — then open it
+// at the new owner on a new leg with the held-back datagrams queued, and
+// resume forwarding. The record (app-level reassembly state, e.g. dnsd's
+// in-progress FRAG) moves in the export.
 
 package cluster
 
 import (
+	"errors"
 	"sync"
-	"time"
 
-	"wedge/internal/gatepool"
 	"wedge/internal/netsim"
 	"wedge/internal/serve"
 )
-
-// defaultPacketIdle bounds a director-side flow's silence before its
-// relay state is swept, in gatepool.Monotime (nanosecond) units.
-const defaultPacketIdle = int64(30e9)
 
 // pendingCap bounds the datagrams queued per flow during a handoff
 // pause; beyond it the director sheds like any congested datagram hop.
 const pendingCap = 64
 
-// pktFlow is the director's relay state for one client address: the
-// owning member, the mirror socket bound at the client's address on
-// that member's segment, and the pause/quiesce machinery.
-type pktFlow struct {
-	d    *Director
-	peer string // client address on the front network
+// maxDatagram is the front loop's read buffer: larger datagrams are
+// truncated by the transport anyway.
+const maxDatagram = 64 * 1024
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	member      *member
-	mirror      *netsim.PacketConn
-	legGen      int
-	outstanding int
-	paused      bool
-	handing     bool
-	dead        bool
-	pending     [][]byte // datagrams queued while paused
-	lastTouch   int64    // gatepool.Monotime of the last forwarded datagram
+// flow is the director's record of one client address: the member
+// serving it and the front socket its legs are spliced from. A handoff
+// pauses delivery, queueing the client's datagrams in pending, then
+// installs the next member and its serving call and closes moved. moved
+// is set before the export, since the flow's serving call can return
+// before HandoffPrincipal does.
+type flow struct {
+	peer  string
+	front *netsim.PacketConn
+
+	mu      sync.Mutex
+	member  *member // nil once the member's flow has ended
+	paused  bool
+	pending [][]byte
+	moved   chan struct{} // made by the latest handoff, closed when it is done
+	next    func() error  // the serving call at the new home
 }
 
-func (f *pktFlow) ownedBy(m *member) bool {
+func (f *flow) ownedBy(m *member) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.member == m && !f.dead
+	return f.member == m
 }
 
-// ServePackets reads the front socket until it closes, forwarding each
-// datagram to its flow's owning member. The front socket is the
-// cluster's single client-facing address for packet service.
-func (d *Director) ServePackets(front *netsim.PacketConn) error {
-	buf := make([]byte, 64*1024)
-	n := 0
-	for {
-		nb, from, err := front.ReadFrom(buf)
-		if err != nil {
-			return nil
-		}
-		payload := append([]byte(nil), buf[:nb]...)
-		d.deliverPacket(front, payload, from)
-		if n++; n%256 == 0 {
-			d.sweepFlows()
-		}
-	}
-}
-
-// deliverPacket routes one datagram: find or admit the flow, then
-// forward — or queue, if the flow is mid-handoff.
-func (d *Director) deliverPacket(front *netsim.PacketConn, payload []byte, from string) {
-	d.mu.Lock()
-	f := d.flows[from]
-	d.mu.Unlock()
-	if f == nil {
-		f = d.admitFlow(front, from)
-		if f == nil {
-			return
-		}
-	}
+// deliver forwards payload into the member's flow, or queues it while a
+// handoff has the flow paused. It reports false once the member's flow
+// has ended.
+func (f *flow) deliver(payload []byte) bool {
 	f.mu.Lock()
-	if f.dead {
-		f.mu.Unlock()
-		return
-	}
+	defer f.mu.Unlock()
 	if f.paused {
 		if len(f.pending) < pendingCap {
 			f.pending = append(f.pending, payload)
 		}
-		f.mu.Unlock()
-		return
+		return true
 	}
-	f.outstanding++
-	f.lastTouch = gatepool.Monotime()
-	m, mirror := f.member, f.mirror
-	f.mu.Unlock()
-	m.packet.DeliverPacket(mirror, payload, from)
+	return f.member != nil && f.member.packet.DeliverPacket(payload, f.peer)
 }
 
-// admitFlow routes a new client address and binds its mirror. The
-// mirror carries the client's address on the member's segment, so
-// worker replies self-deliver back to the director.
-func (d *Director) admitFlow(front *netsim.PacketConn, from string) *pktFlow {
-	m := d.pick(from)
-	if m == nil || m.packet == nil {
-		d.count(&d.refused)
-		return nil
-	}
-	mirror, err := m.host.ListenPacket(from)
-	if err != nil {
-		d.count(&d.refused)
-		return nil
-	}
-	f := &pktFlow{d: d, peer: from, member: m, mirror: mirror,
-		lastTouch: gatepool.Monotime()}
-	f.cond = sync.NewCond(&f.mu)
-	d.mu.Lock()
-	if exist := d.flows[from]; exist != nil {
-		d.mu.Unlock()
-		mirror.Close()
-		return exist
-	}
-	d.flows[from] = f
-	d.admitted++
-	d.mu.Unlock()
-	go f.replyLoop(front)
-	return f
-}
-
-// replyLoop relays worker replies from the current mirror out the front
-// socket, resetting the flow's outstanding count — the quiescence
-// signal handoff waits on. A mirror close from a stale generation spins
-// the loop onto the new mirror; a close with no new generation ends the
-// flow.
-func (f *pktFlow) replyLoop(front *netsim.PacketConn) {
-	buf := make([]byte, 64*1024)
+// ServePackets reads the front socket until it closes, forwarding each
+// datagram to its flow's owning member, and returns once every flow it
+// opened has ended on its member's wheel. The front socket is the
+// cluster's single client-facing address for packet service.
+func (d *Director) ServePackets(front *netsim.PacketConn) error {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	buf := make([]byte, maxDatagram)
 	for {
-		f.mu.Lock()
-		mirror := f.mirror
-		gen := f.legGen
-		f.mu.Unlock()
-		n, _, err := mirror.ReadFrom(buf)
+		n, from, err := front.ReadFrom(buf)
 		if err != nil {
-			f.mu.Lock()
-			if f.legGen != gen {
-				f.mu.Unlock()
-				continue // handed off: read the new mirror
-			}
-			f.dead = true
-			f.cond.Broadcast()
-			f.mu.Unlock()
-			f.d.dropFlow(f)
+			return nil
+		}
+		payload := append([]byte(nil), buf[:n]...)
+		d.mu.Lock()
+		f := d.flows[from]
+		d.mu.Unlock()
+		// A flow whose member flow has ended is on its way out of the
+		// map: the datagram opens the peer's next flow.
+		if f != nil && f.deliver(payload) {
+			continue
+		}
+		if f, run := d.openFlow(front, payload, from); run != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d.serveFlow(f, run)
+			}()
+		}
+	}
+}
+
+// openFlow routes a new client address and opens its flow at the owning
+// member, returning the flow's serving call, or nil when it was refused.
+// The record is in the map, locked, before the member sees the flow, so
+// a Remove that finds it waits for the open to finish; as for a session,
+// a Remove that began after the pick makes the route retry.
+func (d *Director) openFlow(front *netsim.PacketConn, payload []byte, from string) (*flow, func() error) {
+	f := &flow{peer: from, front: front}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for f.member == nil {
+		m := d.pick(from)
+		if m == nil || m.packet == nil {
+			d.count(&d.refused)
+			return nil, nil
+		}
+		d.mu.Lock()
+		if !m.draining {
+			f.member = m
+			d.flows[from] = f
+			d.admitted++
+		}
+		d.mu.Unlock()
+	}
+	run, err := f.member.packet.OpenFlow(front.Splice(from), [][]byte{payload}, nil)
+	if err != nil {
+		// Refused at the member, which answered the client itself.
+		f.member = nil
+		d.dropFlow(f)
+	}
+	return f, run
+}
+
+// serveFlow runs a flow's serving call at its member on this goroutine,
+// and, when a handoff moves the flow, the next one at its new home. The
+// record goes when the last call returns.
+func (d *Director) serveFlow(f *flow, run func() error) {
+	defer d.dropFlow(f)
+	for {
+		if err := run(); !errors.Is(err, serve.ErrHandedOff) {
 			return
 		}
-		front.WriteTo(buf[:n], f.peer)
+		// The handoff that exported the call installs next, then closes
+		// moved. By the time this goroutine looks, that handoff may be
+		// done and a following Remove may already have replaced moved for
+		// the next move, which waits on the call installed here: take
+		// next when it is there, and wait on moved only while it is not.
 		f.mu.Lock()
-		f.outstanding = 0
-		f.cond.Broadcast()
+		run, f.next = f.next, nil
+		moved := f.moved
 		f.mu.Unlock()
+		if run == nil && moved != nil {
+			<-moved
+			f.mu.Lock()
+			run, f.next = f.next, nil
+			f.mu.Unlock()
+		}
+		if run == nil {
+			return // no home to move to, or exported by someone other than the director
+		}
 	}
 }
 
-func (d *Director) dropFlow(f *pktFlow) {
+func (d *Director) dropFlow(f *flow) {
 	d.mu.Lock()
 	if d.flows[f.peer] == f {
 		delete(d.flows, f.peer)
@@ -191,131 +176,41 @@ func (d *Director) dropFlow(f *pktFlow) {
 	d.mu.Unlock()
 }
 
-// killFlow ends a flow's relay state: mark dead, close the mirror (the
-// reply loop exits through the dead-generation check), drop the map
-// entry.
-func (f *pktFlow) kill() {
+// handoffFlow moves one flow off a draining member: hold back the
+// client's datagrams, export the flow (HandoffPrincipal waits until its
+// worker is at rest), and open it at the new owner on a new leg with the
+// held-back datagrams queued before forwarding resumes.
+func (d *Director) handoffFlow(f *flow, from *member) {
 	f.mu.Lock()
-	if f.dead {
-		f.mu.Unlock()
-		return
-	}
-	f.dead = true
-	f.paused = false
-	f.handing = false
-	mirror := f.mirror
-	f.cond.Broadcast()
-	f.mu.Unlock()
-	mirror.Close()
-	f.d.dropFlow(f)
-}
-
-// sweepFlows reaps relay state for flows idle past PacketIdle. The
-// backend runtimes reap their own flow state on their own idle clocks;
-// this sweep only frees the director's mirrors and reply loops.
-func (d *Director) sweepFlows() {
-	idle := d.PacketIdle
-	if idle <= 0 {
-		idle = defaultPacketIdle
-	}
-	now := gatepool.Monotime()
-	var stale []*pktFlow
-	d.mu.Lock()
-	for _, f := range d.flows {
-		f.mu.Lock()
-		if !f.handing && !f.dead && now-f.lastTouch > idle {
-			stale = append(stale, f)
-		}
-		f.mu.Unlock()
-	}
-	d.mu.Unlock()
-	for _, f := range stale {
-		f.kill()
-	}
-}
-
-// handoffFlow moves one flow off a draining member: pause (queue),
-// quiesce, export, re-bind the mirror on the new member's segment,
-// resume the flow there, flush the queue in order, unpause.
-func (d *Director) handoffFlow(f *pktFlow, from *member) {
-	f.mu.Lock()
-	if f.member != from || f.dead {
+	if f.member != from {
 		f.mu.Unlock()
 		return
 	}
 	f.paused = true
-	f.handing = true
-	for f.outstanding != 0 && !f.dead {
-		f.cond.Wait()
-	}
-	if f.dead {
-		f.paused = false
-		f.handing = false
-		f.cond.Broadcast()
-		f.mu.Unlock()
-		return
-	}
+	moved := make(chan struct{})
+	f.moved = moved
 	f.mu.Unlock()
 
-	// ErrNoSession either means the backend flow expired (idle reap) or
-	// the flow is so new its conn record is not registered yet; a bounded
-	// retry separates the two.
-	var rec *serve.HandoffRecord
-	var err error
-	for i := 0; ; i++ {
-		rec, err = from.packet.HandoffPrincipal(f.peer)
-		if err == nil {
-			break
-		}
-		if i >= 100 {
-			// Expired at the backend; the relay state follows it.
-			f.kill()
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	to := d.pick(f.peer)
-	if to == nil || to.packet == nil {
-		d.count(&d.handoffFailed)
-		f.kill()
-		return
-	}
-	mirror2, err := to.host.ListenPacket(f.peer)
-	if err != nil {
-		d.count(&d.handoffFailed)
-		f.kill()
-		return
-	}
+	rec, err := from.packet.HandoffPrincipal(f.peer)
+
 	f.mu.Lock()
-	old := f.mirror
-	f.mirror = mirror2
-	f.member = to
-	f.legGen++
-	f.cond.Broadcast() // reply loop chases the new mirror once old closes
-	f.mu.Unlock()
-	old.Close()
-	if err := to.packet.ResumeFlow(mirror2, f.peer, rec); err != nil {
-		d.count(&d.handoffFailed)
-		f.kill()
+	defer f.mu.Unlock()
+	defer close(moved)
+	pending := f.pending
+	f.paused, f.pending, f.member = false, nil, nil
+	if err != nil {
+		// A held flow that cannot be exported has ended. Datagrams held
+		// back for it are lost like any datagram, and the client retries.
 		return
 	}
-	// Flush datagrams queued during the pause, in arrival order, before
-	// any post-handoff traffic can interleave.
-	for {
-		f.mu.Lock()
-		if len(f.pending) == 0 {
-			f.paused = false
-			f.handing = false
-			f.cond.Broadcast()
-			f.mu.Unlock()
-			break
+	if to := d.pick(f.peer); to != nil && to.packet != nil {
+		if run, err := to.packet.OpenFlow(f.front.Splice(f.peer), pending, rec); err == nil {
+			f.member, f.next = to, run
 		}
-		p := f.pending[0]
-		f.pending = f.pending[1:]
-		f.outstanding++
-		f.lastTouch = gatepool.Monotime()
-		f.mu.Unlock()
-		to.packet.DeliverPacket(mirror2, p, f.peer)
 	}
-	d.count(&d.handoffs)
+	if f.next == nil {
+		d.count(&d.handoffFailed)
+	} else {
+		d.count(&d.handoffs)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,8 +81,8 @@ func popCluster(tb testing.TB, backends map[string]cluster.StreamBackend) (*clus
 	return d, front
 }
 
-// owner returns the one member with a session in flight.
-func owner(tb testing.TB, members map[string]*pop3.PooledServer) string {
+// owner returns the one member with a session or flow in flight.
+func owner[B interface{ Snapshot() serve.Snapshot }](tb testing.TB, members map[string]B) string {
 	tb.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -221,6 +222,55 @@ func TestRequestWhileHeld(t *testing.T) {
 			t.Fatalf("new home %s never served the session: %+v", home, members[home].Snapshot())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// stalledPick is a member whose load reads can be stalled and skewed:
+// hook runs before each Snapshot, and extra is added to its Inflight.
+type stalledPick struct {
+	cluster.StreamBackend
+	extra int
+	hook  func()
+}
+
+func (p stalledPick) Snapshot() serve.Snapshot {
+	p.hook()
+	s := p.StreamBackend.Snapshot()
+	s.Inflight += p.extra
+	return s
+}
+
+// TestRouteRacingRemove: a session whose route was picked just before a
+// Remove of that member began is routed again, not turned away by the
+// drained member.
+func TestRouteRacingRemove(t *testing.T) {
+	picking, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	stall := func() { once.Do(func() { close(picking); <-release }) }
+	// m0 reads as loaded, so the two-choice pick lands on m1.
+	d, front := popCluster(t, map[string]cluster.StreamBackend{
+		"m0": stalledPick{popMember(t), 1000, stall},
+		"m1": stalledPick{popMember(t), 0, stall},
+	})
+	greeted := make(chan error, 1)
+	go func() {
+		c, err := dialPop(front)
+		if err == nil {
+			_, err = c.cmd("QUIT")
+			c.conn.Close()
+		}
+		greeted <- err
+	}()
+	<-picking // the session has read the ring and waits on a load read
+	if err := d.Remove("m1"); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-greeted; err != nil {
+		t.Fatalf("a session routed to a member as it was removed: %v", err)
+	}
+	if st := d.Stats(); st.Admitted != 1 || st.Refused != 0 {
+		t.Fatalf("director stats %+v: want 1 admitted, 0 refused", st)
 	}
 }
 

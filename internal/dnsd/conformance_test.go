@@ -18,7 +18,21 @@ import (
 // The short IdleTimeout is what the battery requires: every flow ends by
 // a real wheel expiry.
 func TestServeConformance(t *testing.T) {
-	const idle = 250 * time.Millisecond
+	servetest.Run(t, resolverApp(t, 250*time.Millisecond))
+}
+
+// TestClusterConformance runs the cluster battery: two resolvers behind
+// a director, the one owning a flow parked mid-FRAG removed, and the
+// query finished at the survivor with the first half carried in the
+// handoff record. The window is the single-runtime battery's: the parked
+// flow moves in well under a millisecond.
+func TestClusterConformance(t *testing.T) {
+	servetest.Cluster(t, resolverApp(t, 250*time.Millisecond))
+}
+
+// resolverApp is the resolver's battery adapter, its flows expiring
+// after idle.
+func resolverApp(t *testing.T, idle time.Duration) servetest.App {
 	key := testZoneKey(t)
 	zone := append(testZone(), Record{Name: "secret.example", Value: "zone-secret-hunter2"})
 
@@ -51,7 +65,7 @@ func TestServeConformance(t *testing.T) {
 		return a.Verify(&key.PublicKey)
 	}
 
-	servetest.Run(t, servetest.App{
+	return servetest.App{
 		Name:      "dnsd",
 		Addr:      "dns:53",
 		Transport: servetest.Datagram,
@@ -110,5 +124,5 @@ func TestServeConformance(t *testing.T) {
 		Schema: GateSchema(),
 		// The zone blob's tag outlives the runtime.
 		StaticTags: 1,
-	})
+	}
 }

@@ -110,6 +110,48 @@ func (pc *PacketConn) ReadFrom(b []byte) (int, string, error) {
 	return copy(b, d.Payload), d.From, nil
 }
 
+// PacketLeg is the datagram counterpart of a spliced Conn: a view of a
+// PacketConn that sends only to one peer, from the socket's own address,
+// and cannot read. A relay hands a server one leg per client flow, so the
+// server can answer that client and reach nothing else, and revokes it by
+// closing it.
+type PacketLeg struct {
+	pc   *PacketConn
+	peer string
+
+	mu       sync.Mutex
+	detached bool
+}
+
+// Splice makes a leg of pc that sends to peer.
+func (pc *PacketConn) Splice(peer string) *PacketLeg {
+	return &PacketLeg{pc: pc, peer: peer}
+}
+
+// Peer returns the one address the leg sends to.
+func (l *PacketLeg) Peer() string { return l.peer }
+
+// Write sends b as one datagram to the leg's peer, with WriteTo's
+// semantics. It fails with ErrClosed once the leg is detached.
+func (l *PacketLeg) Write(b []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.detached {
+		return 0, ErrClosed
+	}
+	return l.pc.WriteTo(b, l.peer)
+}
+
+// Close detaches the leg: its writes fail from then on, and a write
+// already under way has finished when Close returns. The socket stays
+// open.
+func (l *PacketLeg) Close() error {
+	l.mu.Lock()
+	l.detached = true
+	l.mu.Unlock()
+	return nil
+}
+
 // Close unbinds the socket and wakes blocked readers with ErrClosed.
 // Queued-but-unread datagrams are discarded.
 func (pc *PacketConn) Close() error {

@@ -133,3 +133,45 @@ func TestPacketConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestPacketLeg: a leg sends only to its peer, from the socket's own
+// address; detaching it fails its writes and leaves the socket serving.
+func TestPacketLeg(t *testing.T) {
+	n := New()
+	front, _ := n.ListenPacket("front")
+	a, _ := n.DialPacket()
+	b, _ := n.DialPacket()
+	leg := front.Splice(a.Addr())
+	if leg.Peer() != a.Addr() {
+		t.Fatalf("leg peer = %q, want %q", leg.Peer(), a.Addr())
+	}
+	if _, err := leg.Write([]byte("answer")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	got, from, err := a.ReadFrom(buf)
+	if err != nil || string(buf[:got]) != "answer" || from != "front" {
+		t.Fatalf("peer read %q from %q (%v), want \"answer\" from front", buf[:got], from, err)
+	}
+
+	leg.Close()
+	if _, err := leg.Write([]byte("late")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("write on a detached leg: %v, want ErrClosed", err)
+	}
+	// The socket is untouched: it still reads, and a new leg still sends.
+	b.WriteTo([]byte("query"), "front")
+	if got, from, err := front.ReadFrom(buf); err != nil || string(buf[:got]) != "query" || from != b.Addr() {
+		t.Fatalf("front read %q from %q (%v) after a leg detached", buf[:got], from, err)
+	}
+	front.Splice(b.Addr()).Write([]byte("ok"))
+	if got, _, err := b.ReadFrom(buf); err != nil || string(buf[:got]) != "ok" {
+		t.Fatalf("second leg: %q %v", buf[:got], err)
+	}
+	// Nothing the detached leg tried reached its peer.
+	a.mu.Lock()
+	queued := len(a.queue)
+	a.mu.Unlock()
+	if queued != 0 {
+		t.Fatalf("the detached leg's peer has %d queued datagrams, want 0", queued)
+	}
+}

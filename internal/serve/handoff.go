@@ -1,7 +1,7 @@
 // Live session handoff: the serve-runtime half of the cluster's rolling
 // drain. A draining runtime exports an in-flight principal's session as
 // a HandoffRecord — the app's own serialized session state — and a peer
-// runtime re-admits it with ResumeConnAs / ResumeFlow, so the client
+// runtime re-admits it with ResumeConnAs / OpenFlow, so the client
 // never observes the move.
 //
 // The trust argument, stated once and enforced everywhere below:
@@ -194,12 +194,22 @@ type handoff struct {
 func (r *Runtime[T]) SchemaHash() uint64 { return r.app.Schema.Hash() }
 
 // HandoffPrincipal exports the named principal's in-flight session and
-// retires it under the Handed counter. The caller must have quiesced the
-// session at the protocol level first (no request in flight), so the
-// worker is parked on its blocked read: the read is failed and the
-// unwind completes the export. Returns ErrNoSession when the principal
-// has no live session (including "it just completed" — the benign race).
+// retires it under the Handed counter. The session must be at rest, its
+// worker parked on its blocked read with every request answered: the
+// read is failed and the unwind completes the export. A stream's caller
+// holds the session's leg first (netsim.Conn.Hold). A flow is held here:
+// with its peer's datagrams held back by the caller, HandoffPrincipal
+// first waits until the worker is parked in Read on an empty queue.
+// Returns ErrNoSession when the principal has no live session (including
+// "it just completed" — the benign race); after a flow's hold that can
+// only mean the flow ended.
 func (r *Runtime[T]) HandoffPrincipal(principal string) (*HandoffRecord, error) {
+	r.fmu.Lock()
+	f := r.flows[principal]
+	r.fmu.Unlock()
+	if f != nil && !f.hold() {
+		return nil, ErrNoSession
+	}
 	var c *Conn[T]
 	r.conns.Range(func(_ uint64, cc *Conn[T]) bool {
 		if cc.Principal == principal {

@@ -8,6 +8,12 @@
 // to one principal at a time, and per-packet lease churn would also scrub
 // per packet), and it ends by idle expiry — there is no FIN — through the
 // same EndConn/scrub/teardown path as a stream.
+//
+// A flow answers its peer through a packet leg (netsim.PacketLeg) of the
+// socket the datagrams arrived on, and holds nothing else that can send.
+// ServePackets splices that leg from its own socket; the cluster director
+// splices it from the front socket and serves the flow through the same
+// two calls, OpenFlow and DeliverPacket.
 
 package serve
 
@@ -34,23 +40,24 @@ var errNoExpiry = errors.New("serve: datagram flows need App.IdleTimeout")
 
 // flow is one live principal in the datagram demux and the descriptor
 // its worker reads: Read pops one queued datagram (blocking; message
-// boundaries preserved), Write sends one datagram back to the peer and,
-// like every delivered datagram, stamps the flow's conn-table entry.
-// Closing it — expiry's lever — fails the worker's blocked Read with
+// boundaries preserved), Write sends one datagram back to the peer
+// through the flow's leg and, like every delivered datagram, stamps the
+// flow's conn-table entry. Closing it — expiry's and handoff's lever —
+// detaches the leg and fails the worker's blocked Read with
 // netsim.ErrClosed.
 type flow struct {
-	pc   *netsim.PacketConn
-	peer string
+	leg *netsim.PacketLeg
 	activity
 
 	mu     sync.Mutex
 	cond   *sync.Cond
 	q      [][]byte
+	parked bool // the worker waits in Read on an empty queue
 	closed bool
 }
 
-func (r *Runtime[T]) newFlow(pc *netsim.PacketConn, peer string) *flow {
-	f := &flow{pc: pc, peer: peer, activity: activity{stamp: r.conns.Touch}}
+func (r *Runtime[T]) newFlow(leg *netsim.PacketLeg, queued [][]byte) *flow {
+	f := &flow{leg: leg, q: queued, activity: activity{stamp: r.conns.Touch}}
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
@@ -71,7 +78,10 @@ func (f *flow) Read(b []byte) (int, error) {
 		if f.closed {
 			return 0, netsim.ErrClosed
 		}
+		f.parked = true
+		f.cond.Broadcast() // a hold waiting for this park
 		f.cond.Wait()
+		f.parked = false
 	}
 	p := f.q[0]
 	f.q = f.q[1:]
@@ -80,7 +90,7 @@ func (f *flow) Read(b []byte) (int, error) {
 
 func (f *flow) Write(b []byte) (int, error) {
 	f.touch()
-	return f.pc.WriteTo(b, f.peer)
+	return f.leg.Write(b)
 }
 
 func (f *flow) Close() error {
@@ -89,21 +99,40 @@ func (f *flow) Close() error {
 	f.q = nil
 	f.cond.Broadcast()
 	f.mu.Unlock()
-	return nil
+	return f.leg.Close()
+}
+
+// resting reports whether the worker is parked in Read on an empty
+// queue: it has registered its session and, under request/response
+// traffic, answered everything it read. Callers hold f.mu.
+func (f *flow) resting() bool { return f.parked && len(f.q) == 0 }
+
+// hold is the flow's side of a handoff: it waits until the worker is
+// resting. It reports false if the flow closed first.
+func (f *flow) hold() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for !f.closed {
+		if f.resting() {
+			return true
+		}
+		f.cond.Wait()
+	}
+	return false
 }
 
 // unmapLocked drops f from the demux map if it is still the live flow
 // for its peer. Callers hold fmu.
 func (r *Runtime[T]) unmapLocked(f *flow) {
-	if r.flows[f.peer] == f {
-		delete(r.flows, f.peer)
+	if peer := f.leg.Peer(); r.flows[peer] == f {
+		delete(r.flows, peer)
 	}
 }
 
-// ServePackets runs the packet loop: read a datagram, demultiplex by
-// source address, deliver to the flow (opening it on first contact). It
-// returns when the socket closes; live flows then finish or expire under
-// Drain/Close as usual. A runtime without IdleTimeout serves no flows.
+// ServePackets runs the packet loop: read a datagram, deliver it to its
+// source address's flow, or open one for it. It returns when the socket
+// closes; live flows then finish or expire under Drain/Close as usual. A
+// runtime without IdleTimeout serves no flows.
 func (r *Runtime[T]) ServePackets(pc *netsim.PacketConn) error {
 	if r.wheel == nil {
 		return errNoExpiry
@@ -117,78 +146,81 @@ func (r *Runtime[T]) ServePackets(pc *netsim.PacketConn) error {
 			}
 			return err
 		}
-		r.autoSync()
-		r.deliver(pc, append([]byte(nil), buf[:n]...), from)
+		payload := append([]byte(nil), buf[:n]...)
+		if r.DeliverPacket(payload, from) {
+			continue
+		}
+		if run, err := r.OpenFlow(pc.Splice(from), [][]byte{payload}, nil); err == nil {
+			go run()
+		}
 	}
 }
 
-// DeliverPacket injects one datagram into the flow demux exactly as if
-// the packet loop had read it from pc: source address from, flow opened
-// on first contact, admission control applied. It is the cluster
-// director's forwarding entry — the director owns the front socket and
-// relays each client datagram to the owning runtime's backend socket.
-func (r *Runtime[T]) DeliverPacket(pc *netsim.PacketConn, payload []byte, from string) {
-	r.autoSync()
-	r.deliver(pc, append([]byte(nil), payload...), from)
-}
-
-// deliver routes one datagram. Existing flow: stamp and enqueue. New
-// flow: admit (refusing with the app's Refuse datagram) and start its
-// session.
-func (r *Runtime[T]) deliver(pc *netsim.PacketConn, payload []byte, from string) {
+// DeliverPacket queues payload, a datagram from the address from, on
+// that peer's live flow and stamps the flow, or reports false when the
+// peer has none. The flow keeps payload; the caller must not reuse it. A
+// datagram racing the flow's expiry either reaches the flow first (its
+// stamp then keeps the flow alive) or finds none, never a flow that is
+// about to close.
+func (r *Runtime[T]) DeliverPacket(payload []byte, from string) bool {
 	r.fmu.Lock()
-	r.packets++
-	if f, ok := r.flows[from]; ok {
+	defer r.fmu.Unlock()
+	f, ok := r.flows[from]
+	if ok {
+		r.packets++
 		r.conns.Touch(f.id.Load())
 		f.push(payload)
-		r.fmu.Unlock()
-		return
 	}
-	err := errNoExpiry
-	if r.wheel != nil {
+	return ok
+}
+
+// OpenFlow admits a flow from leg's peer and registers it in the demux
+// before it returns, so the peer's next DeliverPacket finds it. queued
+// are the flow's first datagrams. rec, when non-nil, resumes a handed-off
+// flow: the record is validated as hostile input, the flow is admitted
+// past the queue bound (admitResume), and its session starts with
+// c.Resumed set and the app payload imported — mid-protocol state (a
+// half-reassembled query) survives the move.
+//
+// run serves the session on the caller's goroutine, and must be called
+// exactly once. It returns when the wheel expires the flow, or with
+// ErrHandedOff when HandoffPrincipal exports it. A refused flow is not
+// registered: OpenFlow returns the refusal, after answering a fresh flow
+// with the app's Refuse datagram. Either way the flow owns leg and
+// detaches it when it ends.
+func (r *Runtime[T]) OpenFlow(leg *netsim.PacketLeg, queued [][]byte, rec *HandoffRecord) (run func() error, err error) {
+	peer := leg.Peer()
+	if r.wheel == nil {
+		err = errNoExpiry
+	} else if rec != nil {
+		err = r.checkRecord(rec)
+	}
+	if err == nil {
+		r.autoSync()
+	}
+	r.fmu.Lock()
+	r.packets += uint64(len(queued))
+	switch {
+	case err != nil:
+	case r.flows[peer] != nil:
+		err = fmt.Errorf("serve: %s: flow %q is already live here", r.app.Name, peer)
+	case rec != nil:
+		err = r.admitResume()
+	default:
 		err = r.admit()
 	}
 	if err != nil {
 		r.fmu.Unlock()
-		if r.app.Refuse != nil {
-			if resp := r.app.Refuse(payload, err); resp != nil {
-				pc.WriteTo(resp, from)
+		if rec == nil && len(queued) > 0 && r.app.Refuse != nil {
+			if resp := r.app.Refuse(queued[0], err); resp != nil {
+				leg.Write(resp)
 			}
 		}
-		return
+		leg.Close()
+		return nil, err
 	}
-	f := r.newFlow(pc, from)
-	f.push(payload)
-	r.flows[from] = f
-	r.fmu.Unlock()
-	go r.session(from, f, f, nil)
-}
-
-// ResumeFlow re-admits a handed-off datagram flow: the record is
-// validated as hostile input, the flow is registered under its peer
-// address, and its session starts with c.Resumed set and the app payload
-// imported — mid-protocol state (a half-reassembled query) survives the
-// move. Replies go out through pc to peer, exactly like a first-contact
-// flow's.
-func (r *Runtime[T]) ResumeFlow(pc *netsim.PacketConn, peer string, rec *HandoffRecord) error {
-	if r.wheel == nil {
-		return errNoExpiry
-	}
-	if err := r.checkRecord(rec); err != nil {
-		return err
-	}
-	r.fmu.Lock()
-	if _, ok := r.flows[peer]; ok {
-		r.fmu.Unlock()
-		return fmt.Errorf("serve: %s: flow %q is already live here", r.app.Name, peer)
-	}
-	if err := r.admitResume(); err != nil {
-		r.fmu.Unlock()
-		return err
-	}
-	f := r.newFlow(pc, peer)
+	f := r.newFlow(leg, queued)
 	r.flows[peer] = f
 	r.fmu.Unlock()
-	go r.session(peer, f, f, rec)
-	return nil
+	return func() error { return r.session(peer, f, f, rec) }, nil
 }

@@ -16,13 +16,16 @@ import (
 
 // The packet tests serve a datagram echo: the worker reads datagrams
 // from its flow descriptor and writes each one back prefixed with '+',
-// until expiry closes the flow (read fails → return 1, a clean end).
+// until expiry closes the flow (read fails → return 1, a clean end). It
+// takes slowAnswer to answer "slow".
 var (
 	pktSchemaB = gateabi.NewSchema("pktecho")
 	_          = gateabi.ConnID(pktSchemaB)
 	_          = gateabi.FD(pktSchemaB)
 	pktSchema  = pktSchemaB.Seal()
 )
+
+const slowAnswer = 40 * time.Millisecond
 
 type pktRig struct {
 	k  *kernel.Kernel
@@ -56,6 +59,9 @@ func startPacketEcho(t *testing.T, app App[int], drive func(r *pktRig)) {
 						n, err := w.Task.ReadFD(c.FD, buf)
 						if err != nil {
 							return 1 // flow expired: clean end
+						}
+						if string(buf[:n]) == "slow" {
+							time.Sleep(slowAnswer)
 						}
 						out := append([]byte{'+'}, buf[:n]...)
 						if _, err := w.Task.WriteFD(c.FD, out); err != nil {
@@ -320,9 +326,35 @@ func TestPacketExpiryRaceLosesNoDatagram(t *testing.T) {
 		})
 }
 
+// TestPacketSlowAnswerIsNotIdle: a worker that takes several windows to
+// answer a datagram is busy, not idle. Its flow must not expire under
+// it, which would detach the flow's leg and lose the answer; it expires
+// once the worker rests again.
+func TestPacketSlowAnswerIsNotIdle(t *testing.T) {
+	startPacketEcho(t, App[int]{Slots: 1, IdleTimeout: slowAnswer / 8},
+		func(rig *pktRig) {
+			cli, err := rig.k.Net.DialPacket()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			timeout := time.AfterFunc(5*time.Second, func() { cli.Close() })
+			defer timeout.Stop()
+			echoOnce(t, cli, "slow")
+			s := waitSnap(t, rig.rt, "the flow to expire", func(s Snapshot) bool {
+				return s.Flows == 0 && s.Inflight == 0
+			})
+			if s.Expired != 1 || s.Served != 1 || s.Admitted != 1 {
+				t.Fatalf("expired=%d served=%d admitted=%d, want one flow served and expired",
+					s.Expired, s.Served, s.Admitted)
+			}
+		})
+}
+
 // TestPacketNeedsIdleTimeout: a runtime without IdleTimeout could never
-// expire a flow, so it opens none — the packet loop refuses to start and
-// an injected datagram is refused rather than pinning a slot.
+// expire a flow, so it opens none — the packet loop refuses to start, and
+// a flow opened from outside, fresh or resumed, is refused rather than
+// pinning a slot.
 func TestPacketNeedsIdleTimeout(t *testing.T) {
 	k := kernel.New()
 	a := sthread.Boot(k)
@@ -351,9 +383,11 @@ func TestPacketNeedsIdleTimeout(t *testing.T) {
 		if err := rt.ServePackets(pc); err == nil {
 			t.Error("ServePackets started on a runtime without IdleTimeout")
 		}
-		rt.DeliverPacket(pc, []byte("hi"), "udp-x")
-		if err := rt.ResumeFlow(pc, "udp-y", &HandoffRecord{}); err == nil {
-			t.Error("ResumeFlow opened a flow on a runtime without IdleTimeout")
+		if _, err := rt.OpenFlow(pc.Splice("udp-x"), [][]byte{[]byte("hi")}, nil); err == nil {
+			t.Error("OpenFlow opened a flow on a runtime without IdleTimeout")
+		}
+		if _, err := rt.OpenFlow(pc.Splice("udp-y"), nil, &HandoffRecord{}); err == nil {
+			t.Error("OpenFlow resumed a flow on a runtime without IdleTimeout")
 		}
 		if s := rt.Snapshot(); s.Admitted != 0 || s.Flows != 0 || s.Pool.Busy != 0 {
 			t.Errorf("admitted=%d flows=%d busy=%d, want no flow opened", s.Admitted, s.Flows, s.Pool.Busy)

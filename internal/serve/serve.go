@@ -17,9 +17,9 @@
 //     teardown in the right order. Two demuxes feed the one session
 //     function. Streams arrive ready-made (Serve, ServeConnAs): accept
 //     hands over one connection per principal. Datagrams arrive as single
-//     packets (ServePackets, DeliverPacket): the runtime keys each by its
-//     source address into a flow, opening the flow's session on the first
-//     packet.
+//     packets (ServePackets, or OpenFlow and DeliverPacket from a
+//     director): the runtime keys each by its source address into a flow,
+//     opening the flow's session on the first packet.
 //   - Idle expiry, one mechanism for both: with App.IdleTimeout set, every
 //     read, write and delivered datagram stamps the session's conn-table
 //     entry, and one timer wheel per runtime retires sessions silent for
@@ -133,7 +133,7 @@ type Conn[T any] struct {
 	State     T
 
 	// Resumed is true when this session was re-admitted from a
-	// HandoffRecord (ResumeConnAs, ResumeFlow) rather than freshly
+	// HandoffRecord (ResumeConnAs, OpenFlow) rather than freshly
 	// admitted — the app's worker should skip protocol steps the
 	// exporting runtime already performed (greetings, auth it
 	// re-imported, ...).
@@ -201,10 +201,11 @@ type App[T any] struct {
 	// session unwinds through the normal teardown path, so EndConn,
 	// scrubbing, and leak accounting all still run). A session's idle
 	// clock starts when its ring entry dispatches: waiting for a ring is
-	// not idleness. One wheel serves the whole runtime — no goroutine or
-	// runtime timer per session. Zero disables expiry, and then the
-	// runtime refuses datagram flows: there is no FIN, so a flow that
-	// could not expire would pin its slot forever.
+	// not idleness, and neither is a flow's worker answering a datagram
+	// it read, however long that takes. One wheel serves the whole
+	// runtime — no goroutine or runtime timer per session. Zero disables
+	// expiry, and then the runtime refuses datagram flows: there is no
+	// FIN, so a flow that could not expire would pin its slot forever.
 	IdleTimeout time.Duration
 
 	// InitConn populates c.State after the lease is acquired (the lease
@@ -699,7 +700,9 @@ func (r *Runtime[T]) watch(c *Conn[T], id uint64, f *flow) {
 // fmu, which delivery also holds: a datagram racing the expiry either
 // reaches the live flow first (its stamp then keeps the flow alive) or
 // finds no flow and opens a fresh one. It is never queued into a flow
-// that is about to close.
+// that is about to close. A flow whose worker is still answering what it
+// read is busy, not idle, however long the answer takes: expiring it
+// would detach its leg under the answer.
 func (r *Runtime[T]) removeIfIdle(id uint64, f *flow) bool {
 	if f == nil {
 		_, ok := r.conns.RemoveIfIdle(id, r.app.IdleTimeout)
@@ -707,6 +710,12 @@ func (r *Runtime[T]) removeIfIdle(id uint64, f *flow) bool {
 	}
 	r.fmu.Lock()
 	defer r.fmu.Unlock()
+	f.mu.Lock()
+	resting := f.resting()
+	f.mu.Unlock()
+	if !resting {
+		return false
+	}
 	_, ok := r.conns.RemoveIfIdle(id, r.app.IdleTimeout)
 	if ok {
 		r.unmapLocked(f)

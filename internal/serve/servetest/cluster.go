@@ -1,10 +1,10 @@
 // The cluster battery: the conformance suite for live session handoff.
-// Two runtimes of the application sit behind a cluster.Director; the
-// battery kills (removes and drains) the one that owns a session parked
-// mid-protocol and requires that the client finishes the session at its
-// new home without ever seeing an error. The same App adapter the
-// single-runtime battery uses drives it — an application opts in with
-// one extra test line.
+// Two runtimes of the application sit behind a cluster.Director, over
+// the application's transport; the battery kills (removes and drains)
+// the one that owns a session parked mid-protocol and requires that the
+// client finishes the session at its new home without ever seeing an
+// error. The same App adapter the single-runtime battery uses drives it
+// — an application opts in with one extra test line.
 package servetest
 
 import (
@@ -27,14 +27,20 @@ import (
 //     runtime retires it as Handed and leaks neither tasks nor tags, no
 //     worker invocation anywhere ever observes an earlier principal's
 //     secret (the imported block image must be as contained as any
-//     other session's), and Admitted == Served + Failed + Handed
-//     balances on both runtimes.
+//     other session's), Admitted == Served + Failed + Handed balances
+//     on both runtimes, and the director's records end with the
+//     sessions and flows they route.
 //   - SchemaMismatchRefused: a member whose schema hash disagrees with
 //     the cluster's is refused with the typed *serve.SchemaMismatchError
 //     before it can ever exchange a session.
 //
-// The application's runtime must expose the handoff surface
-// (cluster.StreamBackend — satisfied by embedding *serve.Runtime[T]).
+// The application's runtime must expose the handoff surface for its
+// transport (cluster.StreamBackend or cluster.PacketBackend — both
+// satisfied by embedding *serve.Runtime[T]). A datagram flow ends only
+// by expiry, so a datagram application sets Idle: the battery waits for
+// the flows of earlier sessions to expire before it parks the one it
+// moves, and the window must be wide enough that the parked flow cannot
+// expire while Remove moves it.
 func Cluster(t *testing.T, a App) {
 	t.Run("HandoffMidProtocol", a.clusterHandoff)
 	t.Run("SchemaMismatchRefused", a.clusterSchemaMismatch)
@@ -50,16 +56,59 @@ func (a App) start2(t *testing.T, slots int, probe Probe, drive func(r0, r1 *rig
 	})
 }
 
-// clusterBackend asserts the rig's runtime exposes the handoff surface
-// the director drives.
-func clusterBackend(t *testing.T, r *rig) cluster.StreamBackend {
+// member declares the rig's runtime as a cluster member over the
+// application's transport, asserting it exposes the handoff surface the
+// director drives. skew makes it report a schema hash the rest of the
+// cluster does not share — the stand-in for a member built from a
+// different schema revision.
+func (a App) member(t *testing.T, name string, r *rig, skew bool) cluster.Member {
 	t.Helper()
-	sb, ok := r.rt.(cluster.StreamBackend)
-	if !ok {
-		t.Fatalf("%T does not expose the handoff surface (cluster.StreamBackend); "+
-			"embed *serve.Runtime[T] or do not opt into the cluster battery", r.rt)
+	sb, sok := r.rt.(cluster.StreamBackend)
+	pb, pok := r.rt.(cluster.PacketBackend)
+	switch {
+	case a.Transport == Datagram && pok:
+		if skew {
+			pb = skewedPacket{pb}
+		}
+		return cluster.Member{Name: name, Packet: pb}
+	case a.Transport == Stream && sok:
+		if skew {
+			sb = skewedStream{sb}
+		}
+		return cluster.Member{Name: name, Stream: sb}
 	}
-	return sb
+	t.Fatalf("%T does not expose the %s handoff surface (cluster.StreamBackend, cluster.PacketBackend); "+
+		"embed *serve.Runtime[T] or do not opt into the cluster battery", r.rt, a.Transport)
+	return cluster.Member{}
+}
+
+type skewedStream struct{ cluster.StreamBackend }
+
+func (s skewedStream) SchemaHash() uint64 { return s.StreamBackend.SchemaHash() ^ 1 }
+
+type skewedPacket struct{ cluster.PacketBackend }
+
+func (s skewedPacket) SchemaHash() uint64 { return s.PacketBackend.SchemaHash() ^ 1 }
+
+// serveFront serves d at the application's address on the front
+// kernel's network, over its transport. stop closes the front endpoint
+// and waits for the serve loop, which returns once every session or
+// flow it served has ended — a flow on its runtime's wheel.
+func (a App) serveFront(t *testing.T, d *cluster.Director, front *kernel.Kernel) (stop func()) {
+	t.Helper()
+	ep, err := a.Transport.listen(front.Net, a.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		a.Transport.serve(d, ep)
+		close(served)
+	}()
+	return func() {
+		ep.Close()
+		<-served
+	}
 }
 
 func (a App) clusterHandoff(t *testing.T) {
@@ -87,28 +136,19 @@ func (a App) clusterHandoff(t *testing.T) {
 	}
 
 	a.start2(t, 2, probe, func(r0, r1 *rig) {
-		sb0, sb1 := clusterBackend(t, r0), clusterBackend(t, r1)
 		d := cluster.New()
-		if err := d.Add(cluster.Member{Name: "m0", Stream: sb0}); err != nil {
+		if err := d.Add(a.member(t, "m0", r0, false)); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Add(cluster.Member{Name: "m1", Stream: sb1}); err != nil {
+		if err := d.Add(a.member(t, "m1", r1, false)); err != nil {
 			t.Fatal(err)
 		}
 
 		// The front door: a bare kernel whose network hosts the
-		// director's listener. Clients dial it exactly as they would a
-		// single runtime — the cluster is invisible from outside.
+		// director's listener or socket. Clients reach it exactly as they
+		// would a single runtime — the cluster is invisible from outside.
 		front := kernel.New()
-		fl, err := front.Net.Listen(a.Addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		served := make(chan struct{})
-		go func() {
-			d.Serve(fl)
-			close(served)
-		}()
+		stop := a.serveFront(t, d, front)
 
 		session := func(what string) {
 			t.Helper()
@@ -125,9 +165,10 @@ func (a App) clusterHandoff(t *testing.T) {
 		session("first session before the kill") // plants a secret somewhere
 		session("second session before the kill")
 
-		// The client finishes before its worker invocation unwinds; wait
-		// for both, so the one runtime found in flight below owns the
-		// held session and not an earlier one.
+		// The client finishes before its worker invocation unwinds, and a
+		// datagram flow lingers until its window closes; wait for both, so
+		// the one runtime found in flight below owns the held session and
+		// not an earlier one.
 		rigs := map[string]*rig{"m0": r0, "m1": r1}
 		waitFor(t, "the earlier sessions to unwind", func() bool {
 			return r0.rt.Snapshot().Inflight == 0 && r1.rt.Snapshot().Inflight == 0
@@ -170,8 +211,7 @@ func (a App) clusterHandoff(t *testing.T) {
 
 		session("session after the kill") // admits at the survivor
 
-		fl.Close()
-		<-served
+		stop()
 
 		st := d.Stats()
 		if st.Handoffs < 1 || st.HandoffFailed != 0 || st.Refused != 0 {
@@ -187,6 +227,12 @@ func (a App) clusterHandoff(t *testing.T) {
 		waitFor(t, "the survivor to quiesce", func() bool {
 			s := home.rt.Snapshot()
 			return s.Inflight == 0 && s.Conns.Entries == 0
+		})
+		// The director's records end with the sessions and flows they
+		// route.
+		waitFor(t, "the director's sessions and flows to end", func() bool {
+			st := d.Stats()
+			return st.Sessions == 0 && st.Flows == 0
 		})
 		checkQuiescent(t, dead, "on the killed runtime after the drain")
 		checkQuiescent(t, home, "on the survivor at quiescence")
@@ -214,22 +260,14 @@ func (a App) clusterHandoff(t *testing.T) {
 	})
 }
 
-// skewedHash wraps a backend, reporting a schema hash the rest of the
-// cluster does not share — the stand-in for a member built from a
-// different schema revision.
-type skewedHash struct{ cluster.StreamBackend }
-
-func (s skewedHash) SchemaHash() uint64 { return s.StreamBackend.SchemaHash() ^ 1 }
-
 func (a App) clusterSchemaMismatch(t *testing.T) {
 	a.start2(t, 1, nil, func(r0, r1 *rig) {
-		sb0, sb1 := clusterBackend(t, r0), clusterBackend(t, r1)
 		d := cluster.New()
-		if err := d.Add(cluster.Member{Name: "m0", Stream: sb0}); err != nil {
+		if err := d.Add(a.member(t, "m0", r0, false)); err != nil {
 			t.Fatal(err)
 		}
 
-		err := d.Add(cluster.Member{Name: "m1", Stream: skewedHash{sb1}})
+		err := d.Add(a.member(t, "m1", r1, true))
 		var sm *serve.SchemaMismatchError
 		if !errors.As(err, &sm) {
 			t.Fatalf("skewed member admitted: err = %v, want *serve.SchemaMismatchError", err)
@@ -242,7 +280,7 @@ func (a App) clusterSchemaMismatch(t *testing.T) {
 		}
 
 		// The honest twin — same build, same hash — joins fine.
-		if err := d.Add(cluster.Member{Name: "m1", Stream: sb1}); err != nil {
+		if err := d.Add(a.member(t, "m1", r1, false)); err != nil {
 			t.Fatalf("honest twin refused: %v", err)
 		}
 		if n := d.Stats().Members; n != 2 {

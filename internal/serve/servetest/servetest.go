@@ -103,24 +103,32 @@ func (tr Transport) String() string {
 	return "stream"
 }
 
-// listen opens the endpoint the serve loop reads.
-func (tr Transport) listen(root *sthread.Sthread, addr string) (io.Closer, error) {
+// listen opens the endpoint the serve loop reads, on a task (which
+// checks the listen like any syscall) or straight on a network.
+func (tr Transport) listen(on interface {
+	Listen(string) (*netsim.Listener, error)
+	ListenPacket(string) (*netsim.PacketConn, error)
+}, addr string) (io.Closer, error) {
 	if tr == Datagram {
-		pc, err := root.Task.ListenPacket(addr)
+		pc, err := on.ListenPacket(addr)
 		if err != nil {
 			return nil, err
 		}
 		return pc, nil
 	}
-	l, err := root.Task.Listen(addr)
+	l, err := on.Listen(addr)
 	if err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// serve runs the runtime's own serve loop on ep until ep closes.
-func (tr Transport) serve(rt Runtime, ep io.Closer) error {
+// serve runs rt's serve loop — a runtime's own, or a cluster
+// director's — on ep until ep closes.
+func (tr Transport) serve(rt interface {
+	Serve(*netsim.Listener) error
+	ServePackets(*netsim.PacketConn) error
+}, ep io.Closer) error {
 	if tr == Datagram {
 		return rt.ServePackets(ep.(*netsim.PacketConn))
 	}
@@ -268,7 +276,7 @@ func (a App) start(t *testing.T, slots int, probe Probe, drive func(r *rig)) {
 			r.rt = rt
 			r.liveTasks = k.TaskCount()
 			r.liveTags = len(sapp.Tags.Tags())
-			if r.ep, err = a.Transport.listen(root, a.Addr); err != nil {
+			if r.ep, err = a.Transport.listen(root.Task, a.Addr); err != nil {
 				t.Error(err)
 				close(ready)
 				return

@@ -226,12 +226,22 @@ func TestEchoConformance(t *testing.T) {
 	t.Run("Datagram", func(t *testing.T) { servetest.Run(t, echoApp(servetest.Datagram, echoIdle)) })
 }
 
+// echoClusterIdle is the datagram echo runtime's window under the
+// cluster battery: a flow ends only by expiry, so the battery waits for
+// earlier flows to expire before it parks the one it moves, and the
+// parked flow, silent while the director moves it, must not expire
+// meanwhile. Remove moves it in well under a millisecond; the window
+// leaves a wide margin and still lets each run settle in about 0.3 s.
+const echoClusterIdle = 100 * time.Millisecond
+
 // TestEchoCluster: the cluster battery's self-test — two echo runtimes
-// behind a director, one killed while it holds a session mid-protocol.
-// No idle expiry: a handoff keeps the held session silent for as long as
-// the director takes.
+// behind a director, one killed while it holds a session mid-protocol,
+// over streams, then over datagrams. Streams run without idle expiry: a
+// handoff keeps the held session silent for as long as the director
+// takes.
 func TestEchoCluster(t *testing.T) {
 	servetest.Cluster(t, echoApp(servetest.Stream, 0))
+	t.Run("Datagram", func(t *testing.T) { servetest.Cluster(t, echoApp(servetest.Datagram, echoClusterIdle)) })
 }
 
 // echoApp is the echo adapter for one transport; idle is the runtime's
